@@ -22,7 +22,7 @@ Conventions
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 from typing import Iterable, Iterator, List, Sequence, Tuple
 
 __all__ = ["Interval", "IntervalSet", "ATOL"]
@@ -30,72 +30,110 @@ __all__ = ["Interval", "IntervalSet", "ATOL"]
 #: Absolute tolerance used when deciding whether two interval endpoints touch.
 ATOL = 1e-12
 
+#: ``tuple.__new__``: builds an :class:`Interval` from endpoints already
+#: known to be valid, skipping the checking constructor.
+_raw = tuple.__new__
 
-@dataclass(frozen=True, order=True)
-class Interval:
-    """A closed interval ``[lo, hi]`` on the real line."""
 
-    lo: float
-    hi: float
+class Interval(namedtuple("_IntervalFields", ("lo", "hi"))):
+    """A closed interval ``[lo, hi]`` on the real line.
 
-    def __post_init__(self) -> None:
-        if math.isnan(self.lo) or math.isnan(self.hi):
+    Tuple-backed: immutable, equal and hashed as its ``(lo, hi)`` pair and
+    ordered by it, so a sort needs no key function.  Hot loops unpack
+    ``lo, hi = iv`` instead of reading the fields one by one.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, lo: float, hi: float) -> "Interval":
+        if lo != lo or hi != hi:
             raise ValueError("interval endpoints may not be NaN")
-        if self.lo > self.hi:
-            raise ValueError(f"empty interval: lo={self.lo} > hi={self.hi}")
+        if lo > hi:
+            raise ValueError(f"empty interval: lo={lo} > hi={hi}")
+        return _raw(cls, (lo, hi))
 
     @property
     def length(self) -> float:
         """Measure of the interval (0 for a point interval)."""
-        return self.hi - self.lo
+        return self[1] - self[0]
 
     @property
     def midpoint(self) -> float:
         """A representative interior point of the interval."""
-        if math.isinf(self.lo) and math.isinf(self.hi):
+        lo, hi = self
+        if math.isinf(lo) and math.isinf(hi):
             return 0.0
-        if math.isinf(self.hi):
-            return self.lo + 1.0
-        if math.isinf(self.lo):
-            return self.hi - 1.0
-        return 0.5 * (self.lo + self.hi)
+        if math.isinf(hi):
+            return lo + 1.0
+        if math.isinf(lo):
+            return hi - 1.0
+        return 0.5 * (lo + hi)
 
     def contains(self, x: float, atol: float = 0.0) -> bool:
         """Return True when ``x`` lies in ``[lo - atol, hi + atol]``."""
-        return self.lo - atol <= x <= self.hi + atol
+        return self[0] - atol <= x <= self[1] + atol
 
     def overlaps(self, other: "Interval", atol: float = ATOL) -> bool:
         """Return True when the two closed intervals intersect or touch."""
-        return self.lo <= other.hi + atol and other.lo <= self.hi + atol
+        return self[0] <= other[1] + atol and other[0] <= self[1] + atol
 
     def intersect(self, other: "Interval") -> "Interval | None":
         """Intersection with ``other`` or None when disjoint."""
-        lo = max(self.lo, other.lo)
-        hi = min(self.hi, other.hi)
+        lo = max(self[0], other[0])
+        hi = min(self[1], other[1])
         if lo > hi:
             return None
-        return Interval(lo, hi)
+        return _raw(Interval, (lo, hi))
 
     def shift(self, delta: float) -> "Interval":
         """Translate the interval by ``delta``."""
-        return Interval(self.lo + delta, self.hi + delta)
+        return Interval(self[0] + delta, self[1] + delta)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"[{self.lo:g}, {self.hi:g}]"
+        return f"[{self[0]:g}, {self[1]:g}]"
 
 
 def _coalesce(intervals: Iterable[Interval], atol: float) -> Tuple[Interval, ...]:
-    """Sort and merge overlapping/touching intervals into canonical form."""
-    items = sorted(intervals, key=lambda iv: (iv.lo, iv.hi))
-    merged: List[Interval] = []
-    for iv in items:
-        if merged and iv.lo <= merged[-1].hi + atol:
-            last = merged[-1]
-            if iv.hi > last.hi:
-                merged[-1] = Interval(last.lo, iv.hi)
-        else:
-            merged.append(iv)
+    """Sort and merge overlapping/touching intervals into canonical form.
+
+    Input already in ``(lo, hi)`` order -- what every set operation below
+    produces -- skips the sort: a stable sort would return it unchanged.
+    """
+    items = intervals if isinstance(intervals, (list, tuple)) else list(intervals)
+    if len(items) < 2:
+        return tuple(items)
+    merged = _merge_ordered(items, atol)
+    if merged is None:
+        merged = _merge_ordered(sorted(items), atol)
     return tuple(merged)
+
+
+def _merge_ordered(items: Sequence[Interval], atol: float):
+    """Merge runs of ``(lo, hi)``-ordered intervals that overlap or touch.
+
+    Returns None as soon as an interval is out of order.  A run keeps its
+    first interval object until a later member extends its ``hi``.
+    """
+    merged: List[Interval] = []
+    it = iter(items)
+    prev = cur = next(it)
+    cur_lo, cur_hi = cur
+    for iv in it:
+        if iv < prev:
+            return None
+        prev = iv
+        lo, hi = iv
+        if lo <= cur_hi + atol:
+            if hi > cur_hi:
+                cur_hi = hi
+                cur = None
+        else:
+            merged.append(cur if cur is not None else _raw(Interval, (cur_lo, cur_hi)))
+            cur = iv
+            cur_lo = lo
+            cur_hi = hi
+    merged.append(cur if cur is not None else _raw(Interval, (cur_lo, cur_hi)))
+    return merged
 
 
 class IntervalSet:
@@ -115,12 +153,12 @@ class IntervalSet:
     @classmethod
     def empty(cls) -> "IntervalSet":
         """The empty set."""
-        return cls(())
+        return _set(())
 
     @classmethod
     def single(cls, lo: float, hi: float) -> "IntervalSet":
         """The set consisting of one interval ``[lo, hi]``."""
-        return cls((Interval(lo, hi),))
+        return _set((Interval(lo, hi),))
 
     @classmethod
     def from_pairs(cls, pairs: Iterable[Tuple[float, float]]) -> "IntervalSet":
@@ -159,7 +197,10 @@ class IntervalSet:
 
     def contains(self, x: float, atol: float = 0.0) -> bool:
         """Membership test for the point ``x``."""
-        return any(iv.contains(x, atol) for iv in self._intervals)
+        for lo, hi in self._intervals:
+            if lo - atol <= x <= hi + atol:
+                return True
+        return False
 
     def __iter__(self) -> Iterator[Interval]:
         return iter(self._intervals)
@@ -202,19 +243,7 @@ class IntervalSet:
 
     def intersect(self, other: "IntervalSet") -> "IntervalSet":
         """Set intersection via a linear merge of the two sorted lists."""
-        out: List[Interval] = []
-        i = j = 0
-        a, b = self._intervals, other._intervals
-        while i < len(a) and j < len(b):
-            iv = a[i].intersect(b[j])
-            if iv is not None:
-                out.append(iv)
-            # advance whichever interval ends first
-            if a[i].hi < b[j].hi:
-                i += 1
-            else:
-                j += 1
-        return IntervalSet(out)
+        return _set(_coalesce(_intersect(self._intervals, other._intervals), ATOL))
 
     def difference(self, other: "IntervalSet") -> "IntervalSet":
         """Set difference ``self \\ other``.
@@ -230,18 +259,21 @@ class IntervalSet:
         out: List[Interval] = []
         for iv in self._intervals:
             pieces = [iv]
+            iv_hi = iv[1]
             for cut in other._intervals:
-                if cut.lo > iv.hi:
+                cut_lo, cut_hi = cut
+                if cut_lo > iv_hi:
                     break
                 next_pieces: List[Interval] = []
                 for piece in pieces:
-                    if cut.hi < piece.lo or cut.lo > piece.hi:
+                    lo, hi = piece
+                    if cut_hi < lo or cut_lo > hi:
                         next_pieces.append(piece)
                         continue
-                    if cut.lo > piece.lo:
-                        next_pieces.append(Interval(piece.lo, cut.lo))
-                    if cut.hi < piece.hi:
-                        next_pieces.append(Interval(cut.hi, piece.hi))
+                    if cut_lo > lo:
+                        next_pieces.append(_raw(Interval, (lo, cut_lo)))
+                    if cut_hi < hi:
+                        next_pieces.append(_raw(Interval, (cut_hi, hi)))
                 pieces = next_pieces
                 if not pieces:
                     break
@@ -250,13 +282,31 @@ class IntervalSet:
 
     def shift(self, delta: float) -> "IntervalSet":
         """Translate every interval by ``delta``."""
-        return IntervalSet(iv.shift(delta) for iv in self._intervals)
+        return _set(_shifted(self._intervals, delta))
 
     def clamp(self, lo: float, hi: float) -> "IntervalSet":
         """Intersect with the single interval ``[lo, hi]``."""
-        if lo > hi:
-            return IntervalSet.empty()
-        return self.intersect(IntervalSet.single(lo, hi))
+        return _set(_clamped(self._intervals, lo, hi))
+
+    def shift_clamp(
+        self,
+        delta: float,
+        lo: float,
+        hi: float,
+        meet: "Tuple[IntervalSet, float] | None" = None,
+    ) -> "IntervalSet":
+        """``self.shift(delta)``, intersected with ``meet[0].shift(meet[1])``
+        when given, then ``.clamp(lo, hi)``, without the intermediate sets.
+
+        Every stage computes the same endpoints and coalesces as its own
+        method does, so the result is interval-for-interval equal to the
+        chain (``docs/ALGORITHMS.md`` §14).
+        """
+        ivs = _shifted(self._intervals, delta)
+        if meet is not None:
+            other, other_delta = meet
+            ivs = _coalesce(_intersect(ivs, _shifted(other._intervals, other_delta)), ATOL)
+        return _set(_clamped(ivs, lo, hi))
 
     def sample_points(self, per_interval: int = 3) -> List[float]:
         """Representative points: endpoints plus interior midpoints.
@@ -273,6 +323,60 @@ class IntervalSet:
                     pts.extend(iv.lo + k * step for k in range(1, per_interval - 1))
                 pts.append(iv.hi)
         return pts
+
+
+_new_set = object.__new__
+
+
+def _set(intervals: Tuple[Interval, ...]) -> IntervalSet:
+    """An :class:`IntervalSet` over an already canonical interval tuple."""
+    out = _new_set(IntervalSet)
+    out._intervals = intervals
+    return out
+
+
+def _shifted(ivs: Sequence[Interval], delta: float) -> Tuple[Interval, ...]:
+    """Canonical intervals of :meth:`IntervalSet.shift`.
+
+    Translation keeps ``(lo, hi)`` order, so no sort runs; the coalescing
+    pass stays because rounding can close a gap to within ``ATOL``.
+    """
+    return _coalesce([Interval(lo + delta, hi + delta) for lo, hi in ivs], ATOL)
+
+
+def _clamped(ivs: Sequence[Interval], lo: float, hi: float) -> Tuple[Interval, ...]:
+    """Canonical intervals of :meth:`IntervalSet.clamp`."""
+    if lo > hi:
+        return ()
+    return _coalesce(_intersect(ivs, (Interval(lo, hi),)), ATOL)
+
+
+def _intersect(
+    a: Sequence[Interval], b: Sequence[Interval]
+) -> List[Interval]:
+    """Pairwise intersections of two sorted interval lists, in order.
+
+    A linear merge: after each pair, advance whichever interval ends
+    first.  ``max``/``min`` are spelled out with the same tie rule (the
+    first argument wins), so the endpoints are the very floats
+    :meth:`Interval.intersect` returns.
+    """
+    out: List[Interval] = []
+    i = j = 0
+    na = len(a)
+    nb = len(b)
+    while i < na and j < nb:
+        a_lo, a_hi = a[i]
+        b_lo, b_hi = b[j]
+        lo = b_lo if b_lo > a_lo else a_lo
+        hi = b_hi if b_hi < a_hi else a_hi
+        if lo <= hi:
+            out.append(_raw(Interval, (lo, hi)))
+        if a_hi < b_hi:
+            i += 1
+        else:
+            j += 1
+    return out
 
 
 def union_all(sets: Sequence[IntervalSet]) -> IntervalSet:

@@ -49,7 +49,7 @@ from ..rctree.topology import NodeKind, RoutingTree
 from ..tech.parameters import Technology
 from .intervals import IntervalSet
 from .msri import MSRIOptions
-from .pwl import PWL, Segment
+from .pwl import PWL
 from .solution import Placement, Solution, Trace
 
 __all__ = [
@@ -72,10 +72,11 @@ _OBS_EVICTIONS = obs.Counter("msri.cache.evictions")
 _KIND_CODE = {NodeKind.TERMINAL: 0, NodeKind.STEINER: 1, NodeKind.INSERTION: 2}
 
 #: One packed solution: ``(cost, cap, q, parity, domain, arr, diam,
-#: placements)`` with ``domain`` a tuple of ``(lo, hi)`` pairs, ``arr`` /
-#: ``diam`` either None or a tuple of ``(lo, hi, intercept, slope)``
-#: quadruples, and ``placements`` a tuple of ``(preorder_position, what)``
-#: pairs in the trace's collect() order.
+#: placements)`` with ``domain`` the tuple of its ``Interval`` pairs, ``arr``
+#: / ``diam`` either None or the tuple of their ``Segment`` quadruples
+#: (both immutable tuples, shared rather than copied), and ``placements`` a
+#: tuple of ``(preorder_position, what)`` pairs in the trace's collect()
+#: order.
 PackedSolution = Tuple
 
 
@@ -228,17 +229,9 @@ def pack_front(
                 s.cap,
                 s.q,
                 s.parity,
-                tuple((iv.lo, iv.hi) for iv in s.domain.intervals),
-                None
-                if s.arr is None
-                else tuple(
-                    (g.lo, g.hi, g.intercept, g.slope) for g in s.arr.segments
-                ),
-                None
-                if s.diam is None
-                else tuple(
-                    (g.lo, g.hi, g.intercept, g.slope) for g in s.diam.segments
-                ),
+                s.domain.intervals,
+                None if s.arr is None else s.arr.segments,
+                None if s.diam is None else s.diam.segments,
                 tuple(
                     (positions[p.node], p.what) for p in s.trace.collect()
                 ),
@@ -271,13 +264,9 @@ def unpack_front(
                 cost=cost,
                 cap=cap,
                 q=q,
-                arr=None
-                if arr is None
-                else PWL(Segment(lo, hi, ic, sl) for lo, hi, ic, sl in arr),
-                diam=None
-                if diam is None
-                else PWL(Segment(lo, hi, ic, sl) for lo, hi, ic, sl in diam),
-                domain=IntervalSet.from_pairs(dom),
+                arr=None if arr is None else PWL(arr),
+                diam=None if diam is None else PWL(diam),
+                domain=IntervalSet(dom),
                 trace=trace,
                 parity=parity,
             )

@@ -96,16 +96,12 @@ def leq_status(by_f: Optional[PWL], s_f: Optional[PWL]) -> int:
         # single-segment pair (about half of all calls): one overlap, so
         # the loop below reduces to a direct classification — same
         # expressions, same outcomes
-        sa = fs[0]
-        sb = gs[0]
-        lo = sa.lo if sa.lo > sb.lo else sb.lo
-        hi = sa.hi if sa.hi < sb.hi else sb.hi
+        a_lo, a_hi, ai, asl = fs[0]
+        b_lo, b_hi, bi, bsl = gs[0]
+        lo = a_lo if a_lo > b_lo else b_lo
+        hi = a_hi if a_hi < b_hi else b_hi
         if lo > hi:
             return LEQ_EMPTY
-        ai = sa.intercept
-        asl = sa.slope
-        bi = sb.intercept
-        bsl = sb.slope
         da_lo = (ai + asl * lo) - (bi + bsl * lo)
         da_hi = (ai + asl * hi) - (bi + bsl * hi)
         if da_lo <= 0.0 and da_hi <= 0.0:
@@ -121,17 +117,11 @@ def leq_status(by_f: Optional[PWL], s_f: Optional[PWL]) -> int:
     i = j = 0
     any_in = any_out = False
     while i < nf and j < ng:
-        sa = fs[i]
-        sb = gs[j]
-        sa_hi = sa.hi
-        sb_hi = sb.hi
-        lo = sa.lo if sa.lo > sb.lo else sb.lo
-        hi = sa_hi if sa_hi < sb_hi else sb_hi
+        a_lo, a_hi, ai, asl = fs[i]
+        b_lo, b_hi, bi, bsl = gs[j]
+        lo = a_lo if a_lo > b_lo else b_lo
+        hi = a_hi if a_hi < b_hi else b_hi
         if lo <= hi:
-            ai = sa.intercept
-            asl = sa.slope
-            bi = sb.intercept
-            bsl = sb.slope
             da_lo = (ai + asl * lo) - (bi + bsl * lo)
             da_hi = (ai + asl * hi) - (bi + bsl * hi)
             if da_lo <= 0.0 and da_hi <= 0.0:
@@ -159,7 +149,7 @@ def leq_status(by_f: Optional[PWL], s_f: Optional[PWL]) -> int:
                         any_out = True
                 else:
                     return LEQ_PARTIAL
-        if sa_hi < sb_hi:
+        if a_hi < b_hi:
             i += 1
         else:
             j += 1
@@ -175,12 +165,16 @@ def domain_subset(a: IntervalSet, b: IntervalSet) -> bool:
     a linear walk: every interval of ``a`` must sit inside one interval of
     ``b``.
     """
-    bivs = b.intervals
+    bivs = b._intervals
+    nb = len(bivs)
     j = 0
-    for iv in a.intervals:
-        while j < len(bivs) and bivs[j].hi < iv.lo:
+    for lo, hi in a._intervals:
+        while j < nb and bivs[j][1] < lo:
             j += 1
-        if j >= len(bivs) or bivs[j].lo > iv.lo or bivs[j].hi < iv.hi:
+        if j >= nb:
+            return False
+        b_lo, b_hi = bivs[j]
+        if b_lo > lo or b_hi < hi:
             return False
     return True
 

@@ -28,8 +28,10 @@ maxima of continuous functions), but the class itself does not require it.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Callable, Iterable, List, Optional, Sequence, Tuple
+from collections import namedtuple
+from functools import partial
+from operator import itemgetter
+from typing import Iterable, List, Optional, Sequence, Tuple
 
 from ..check import contracts
 from .intervals import ATOL, Interval, IntervalSet
@@ -39,36 +41,44 @@ __all__ = ["Segment", "PWL", "maximum_all", "max_segment_count"]
 #: Tolerance used when merging collinear segments and comparing breakpoints.
 _EPS = 1e-9
 
+_INF = math.inf
 
-@dataclass(frozen=True)
-class Segment:
+#: ``tuple.__new__``: builds a :class:`Segment` or an ``Interval`` from
+#: values already known to be valid, skipping the checking constructor.
+_raw = tuple.__new__
+
+
+class Segment(namedtuple("_SegmentFields", ("lo", "hi", "intercept", "slope"))):
     """One line segment: ``y = intercept + slope * x`` for ``x in [lo, hi]``.
 
     Mirrors the paper's quadruple ``(y, slope, lo, hi)`` (Definition 4.1).
     Degenerate point segments (``lo == hi``) are allowed; they arise when
     pruning leaves a solution optimal only at a crossover capacitance.
+
+    Tuple-backed: immutable, equal and hashed as its field tuple.  Hot
+    loops unpack ``lo, hi, intercept, slope = seg``.
     """
 
-    lo: float
-    hi: float
-    intercept: float
-    slope: float
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if self.lo > self.hi:
-            raise ValueError(f"segment domain empty: [{self.lo}, {self.hi}]")
-        if not (math.isfinite(self.lo) and math.isfinite(self.hi)):
-            raise ValueError("segment domain must be finite")
-        if not (math.isfinite(self.intercept) and math.isfinite(self.slope)):
-            raise ValueError("segment coefficients must be finite")
+    def __new__(cls, lo: float, hi: float, intercept: float, slope: float) -> "Segment":
+        # one chained comparison accepts every valid segment (NaN fails
+        # each test); _reject names the first problem
+        if not (
+            -_INF < lo <= hi < _INF
+            and -_INF < intercept < _INF
+            and -_INF < slope < _INF
+        ):
+            _reject(lo, hi)
+        return _raw(cls, (lo, hi, intercept, slope))
 
     def value(self, x: float) -> float:
         """Evaluate the segment's line at ``x`` (domain not checked)."""
-        return self.intercept + self.slope * x
+        return self[2] + self[3] * x
 
     def interval(self) -> Interval:
         """The segment's domain as an :class:`Interval`."""
-        return Interval(self.lo, self.hi)
+        return _raw(Interval, (self[0], self[1]))
 
     def same_line(self, other: "Segment", atol: float = _EPS) -> bool:
         """True when both segments lie on (numerically) the same line."""
@@ -78,24 +88,91 @@ class Segment:
         )
 
 
+def _reject(lo: float, hi: float) -> None:
+    """Raise the ``ValueError`` for a segment that failed validation."""
+    if lo > hi:
+        raise ValueError(f"segment domain empty: [{lo}, {hi}]")
+    if not (math.isfinite(lo) and math.isfinite(hi)):
+        raise ValueError("segment domain must be finite")
+    raise ValueError("segment coefficients must be finite")
+
+
+#: ``_checked(lo, hi, intercept, slope)``: the checking constructor without
+#: the cost of calling the class (primitives build segments from computed,
+#: unchecked floats).
+_checked = partial(Segment.__new__, Segment)
+
+
+#: Sort key of segment lists: by domain, ties kept in input order.
+_LOHI = itemgetter(0, 1)
+
+
 def _canonicalize(segments: Iterable[Segment]) -> Tuple[Segment, ...]:
-    """Sort segments, reject overlaps, and merge touching collinear runs."""
-    segs = sorted(segments, key=lambda s: (s.lo, s.hi))
-    for a, b in zip(segs, segs[1:]):
-        if b.lo < a.hi - ATOL:
-            raise ValueError(f"overlapping segment domains: {a} and {b}")
-    merged: List[Segment] = []
-    for seg in segs:
-        if (
-            merged
-            and abs(seg.lo - merged[-1].hi) <= ATOL
-            and merged[-1].same_line(seg)
-        ):
-            prev = merged[-1]
-            merged[-1] = Segment(prev.lo, seg.hi, prev.intercept, prev.slope)
-        else:
-            merged.append(seg)
+    """Sort segments, reject overlaps, and merge touching collinear runs.
+
+    Input already in ``(lo, hi)`` order -- what every primitive below
+    produces -- skips the sort: a stable sort would return it unchanged.
+    """
+    segs = segments if isinstance(segments, (list, tuple)) else list(segments)
+    if len(segs) < 2:
+        return tuple(segs)
+    merged = _merge_ordered(segs, False)
+    if merged is None:
+        merged = _merge_ordered(sorted(segs, key=_LOHI), True)
     return tuple(merged)
+
+
+def _merge_ordered(segs: Sequence[Segment], raise_overlap: bool):
+    """Overlap check and collinear merge over ``(lo, hi)``-ordered segments.
+
+    Returns None when a segment is out of order, or overlaps its
+    predecessor while ``raise_overlap`` is off (the caller then sorts and
+    retries, so an overlap is reported for the same pair a sorted pass
+    finds).  A merged run keeps its first segment's line and takes its
+    last segment's ``hi`` -- :meth:`Segment.same_line` against the run so
+    far, spelled out.
+    """
+    merged: List[Segment] = []
+    it = iter(segs)
+    prev = cur = next(it)
+    m_lo, m_hi, m_ic, m_sl = cur
+    for seg in it:
+        lo, hi, ic, sl = seg
+        # the previous input segment ends at m_hi: a merge takes its hi
+        if lo < prev[0] or (lo == prev[0] and hi < m_hi):
+            return None
+        if lo < m_hi - ATOL:
+            if raise_overlap:
+                raise ValueError(f"overlapping segment domains: {prev} and {seg}")
+            return None
+        prev = seg
+        a = abs(m_ic)
+        b = abs(m_sl)
+        if (
+            abs(lo - m_hi) <= ATOL
+            and abs(m_ic - ic) <= _EPS * (a if a > 1.0 else 1.0)
+            and abs(m_sl - sl) <= _EPS * (b if b > 1.0 else 1.0)
+        ):
+            m_hi = hi
+            cur = None
+        else:
+            merged.append(cur if cur is not None else _raw(Segment, (m_lo, m_hi, m_ic, m_sl)))
+            cur = seg
+            m_lo, m_hi, m_ic, m_sl = lo, hi, ic, sl
+    merged.append(cur if cur is not None else _raw(Segment, (m_lo, m_hi, m_ic, m_sl)))
+    return merged
+
+
+_new_pwl = object.__new__
+
+
+def _pwl(segments: Tuple[Segment, ...]) -> "PWL":
+    """A :class:`PWL` over an already canonical segment tuple."""
+    f = _new_pwl(PWL)
+    f._segments = segments
+    if contracts.contracts_enabled():
+        contracts.verify_pwl(f, context="PWL construction")
+    return f
 
 
 class PWL:
@@ -113,12 +190,12 @@ class PWL:
     @classmethod
     def constant(cls, value: float, lo: float, hi: float) -> "PWL":
         """The constant function ``value`` on ``[lo, hi]``."""
-        return cls((Segment(lo, hi, value, 0.0),))
+        return _pwl((Segment(lo, hi, value, 0.0),))
 
     @classmethod
     def linear(cls, intercept: float, slope: float, lo: float, hi: float) -> "PWL":
         """The line ``intercept + slope * x`` on ``[lo, hi]``."""
-        return cls((Segment(lo, hi, intercept, slope),))
+        return _pwl((Segment(lo, hi, intercept, slope),))
 
     @classmethod
     def from_breakpoints(cls, xs: Sequence[float], ys: Sequence[float]) -> "PWL":
@@ -153,27 +230,30 @@ class PWL:
 
     def domain(self) -> IntervalSet:
         """The set of ``x`` where the function is defined."""
-        return IntervalSet(seg.interval() for seg in self._segments)
+        return IntervalSet([_raw(Interval, (s[0], s[1])) for s in self._segments])
 
     def __call__(self, x: float) -> float:
         return self.evaluate(x)
 
     def evaluate(self, x: float, atol: float = ATOL) -> float:
         """Value at ``x``; raises ``ValueError`` outside the domain."""
-        for seg in self._segments:
-            if seg.lo - atol <= x <= seg.hi + atol:
-                return seg.value(x)
+        for lo, hi, intercept, slope in self._segments:
+            if lo - atol <= x <= hi + atol:
+                return intercept + slope * x
         raise ValueError(f"x={x} outside PWL domain {self.domain()!r}")
 
     def evaluate_or(self, x: float, default: float, atol: float = ATOL) -> float:
         """Value at ``x`` or ``default`` when ``x`` is outside the domain."""
-        for seg in self._segments:
-            if seg.lo - atol <= x <= seg.hi + atol:
-                return seg.value(x)
+        for lo, hi, intercept, slope in self._segments:
+            if lo - atol <= x <= hi + atol:
+                return intercept + slope * x
         return default
 
     def defined_at(self, x: float, atol: float = ATOL) -> bool:
-        return any(seg.lo - atol <= x <= seg.hi + atol for seg in self._segments)
+        for lo, hi, _, _ in self._segments:
+            if lo - atol <= x <= hi + atol:
+                return True
+        return False
 
     def breakpoints(self) -> List[float]:
         """Sorted list of all domain endpoints."""
@@ -188,9 +268,9 @@ class PWL:
         if self.is_empty:
             raise ValueError("cannot minimize an empty PWL")
         best_x, best_y = None, math.inf
-        for seg in self._segments:
-            for x in (seg.lo, seg.hi):
-                y = seg.value(x)
+        for lo, hi, intercept, slope in self._segments:
+            for x in (lo, hi):
+                y = intercept + slope * x
                 if y < best_y:
                     best_x, best_y = x, y
         if best_x is None:
@@ -202,9 +282,9 @@ class PWL:
         if self.is_empty:
             raise ValueError("cannot maximize an empty PWL")
         best_x, best_y = None, -math.inf
-        for seg in self._segments:
-            for x in (seg.lo, seg.hi):
-                y = seg.value(x)
+        for lo, hi, intercept, slope in self._segments:
+            for x in (lo, hi):
+                y = intercept + slope * x
                 if y > best_y:
                     best_x, best_y = x, y
         if best_x is None:
@@ -248,9 +328,7 @@ class PWL:
         Used when an intrinsic buffer delay or a sink's downstream delay is
         appended to every internal path.
         """
-        return PWL(
-            Segment(s.lo, s.hi, s.intercept + a, s.slope) for s in self._segments
-        )
+        return _pwl(_add_linear(self._segments, a, None))
 
     def add_linear(self, a: float, b: float) -> "PWL":
         """``f(x) + a + b*x``.
@@ -260,9 +338,7 @@ class PWL:
         between the subtree and the rest of the net multiplies the unknown
         external capacitance.
         """
-        return PWL(
-            Segment(s.lo, s.hi, s.intercept + a, s.slope + b) for s in self._segments
-        )
+        return _pwl(_add_linear(self._segments, a, b))
 
     def shift(self, c: float) -> "PWL":
         """Domain substitution ``g(x) = f(x + c)``.
@@ -273,26 +349,36 @@ class PWL:
         translates left by ``c``.  Any part of the domain that would become
         negative is dropped (external capacitance cannot be negative).
         """
-        segs = []
-        for s in self._segments:
-            lo, hi = s.lo - c, s.hi - c
-            if hi < 0.0:
-                continue
-            lo = max(lo, 0.0)
-            # g(x) = f(x + c) = intercept + slope * (x + c)
-            segs.append(Segment(lo, hi, s.intercept + s.slope * c, s.slope))
-        return PWL(segs)
+        return _pwl(_shift(self._segments, c))
 
     def restrict(self, region: IntervalSet) -> "PWL":
-        """Restrict the domain to ``region`` (for MFS pruning)."""
-        segs: List[Segment] = []
-        for s in self._segments:
-            for iv in region:
-                lo = max(s.lo, iv.lo)
-                hi = min(s.hi, iv.hi)
-                if lo <= hi:
-                    segs.append(Segment(lo, hi, s.intercept, s.slope))
-        return PWL(segs)
+        """Restrict the domain to ``region`` (for MFS pruning).
+
+        Returns ``self`` when one interval of ``region`` covers every
+        segment and no other interval touches them: the general loop would
+        rebuild the very same segments (``docs/ALGORITHMS.md`` §14).
+        """
+        segs = _restrict(self._segments, region)
+        return self if segs is self._segments else _pwl(segs)
+
+    def shift_into(
+        self,
+        c: float,
+        region: IntervalSet,
+        linear: Optional[Tuple[float, float]] = None,
+    ) -> "PWL":
+        """``self.shift(c)``, then ``.add_linear(*linear)``, then
+        ``.restrict(region)``, without the intermediate functions.
+
+        Segment-for-segment equal to the chain: every stage computes the
+        same floats and canonicalizes its output, because the collinear
+        merge's tolerance is relative to the coefficients each stage
+        changes (``docs/ALGORITHMS.md`` §14).
+        """
+        segs = _shift(self._segments, c)
+        if linear is not None:
+            segs = _add_linear(segs, linear[0], linear[1])
+        return _pwl(_restrict(segs, region))
 
     def maximum(self, other: "PWL") -> "PWL":
         """Piece-wise maximum of two PWLs on the *intersection* of domains.
@@ -376,6 +462,59 @@ class PWL:
 
 
 # -- internal machinery -----------------------------------------------------
+#
+# Stage functions map a canonical segment tuple to a canonical segment
+# tuple.  Each computes exactly the floats its public primitive always has
+# and hands them to _canonicalize in the order they come, which is (lo, hi)
+# order but for ATOL-scale overlaps, so the sort is skipped.
+
+
+def _shift(segs: Tuple[Segment, ...], c: float) -> Tuple[Segment, ...]:
+    """Segments of :meth:`PWL.shift`."""
+    out: List[Segment] = []
+    for lo, hi, intercept, slope in segs:
+        hi = hi - c
+        if hi < 0.0:
+            continue
+        lo = lo - c
+        # g(x) = f(x + c) = intercept + slope * (x + c)
+        out.append(_checked(0.0 if 0.0 > lo else lo, hi, intercept + slope * c, slope))
+    return _canonicalize(out)
+
+
+def _add_linear(
+    segs: Tuple[Segment, ...], a: float, b: Optional[float]
+) -> Tuple[Segment, ...]:
+    """Segments of :meth:`PWL.add_linear`, or of :meth:`PWL.add_scalar`
+    when ``b`` is None (no slope addition, so a ``-0.0`` slope stays)."""
+    if b is None:
+        out = [_checked(lo, hi, intercept + a, slope) for lo, hi, intercept, slope in segs]
+    else:
+        out = [_checked(lo, hi, intercept + a, slope + b) for lo, hi, intercept, slope in segs]
+    return _canonicalize(out)
+
+
+def _restrict(segs: Tuple[Segment, ...], region: IntervalSet) -> Tuple[Segment, ...]:
+    """Segments of :meth:`PWL.restrict`; ``segs`` itself when unchanged."""
+    ivs = region._intervals
+    if segs:
+        first = segs[0][0]
+        last = segs[0][1]
+        for seg in segs:
+            if seg[1] > last:
+                last = seg[1]
+        touching = [iv for iv in ivs if iv[0] <= last and first <= iv[1]]
+        if len(touching) == 1 and touching[0][0] <= first and last <= touching[0][1]:
+            return segs
+    out: List[Segment] = []
+    for s_lo, s_hi, intercept, slope in segs:
+        for iv_lo, iv_hi in ivs:
+            # max/min with their tie rule: the segment's own endpoint wins
+            lo = iv_lo if iv_lo > s_lo else s_lo
+            hi = iv_hi if iv_hi < s_hi else s_hi
+            if lo <= hi:
+                out.append(_raw(Segment, (lo, hi, intercept, slope)))
+    return _canonicalize(out)
 
 
 def _overlaps(f: PWL, g: PWL) -> Iterable[Tuple[float, float, Segment, Segment]]:
@@ -384,61 +523,88 @@ def _overlaps(f: PWL, g: PWL) -> Iterable[Tuple[float, float, Segment, Segment]]
     Linear merge over the two sorted segment lists.
     """
     i = j = 0
-    fs, gs = f.segments, g.segments
-    while i < len(fs) and j < len(gs):
-        lo = max(fs[i].lo, gs[j].lo)
-        hi = min(fs[i].hi, gs[j].hi)
+    fs, gs = f._segments, g._segments
+    nf, ng = len(fs), len(gs)
+    while i < nf and j < ng:
+        sa = fs[i]
+        sb = gs[j]
+        a_lo, a_hi = sa[0], sa[1]
+        b_lo, b_hi = sb[0], sb[1]
+        # max/min with their tie rule: f's endpoint wins
+        lo = b_lo if b_lo > a_lo else a_lo
+        hi = b_hi if b_hi < a_hi else a_hi
         if lo <= hi:
-            yield lo, hi, fs[i], gs[j]
-        if fs[i].hi < gs[j].hi:
+            yield lo, hi, sa, sb
+        if a_hi < b_hi:
             i += 1
         else:
             j += 1
 
 
 def _combine(f: PWL, g: PWL, *, max_of: bool) -> PWL:
-    """Shared implementation of piece-wise max/min on the domain overlap."""
-    pick: Callable[[Segment, Segment, float], bool]
-    if max_of:
-        pick = lambda a, b, x: a.value(x) >= b.value(x)  # noqa: E731
-    else:
-        pick = lambda a, b, x: a.value(x) <= b.value(x)  # noqa: E731
+    """Shared implementation of piece-wise max/min on the domain overlap.
 
+    Each overlap is cut at the lines' interior crossing, if any, and every
+    piece takes the line that wins at its midpoint.  A point overlap is a
+    single piece.  Pieces come out in ``(lo, hi)`` order, each once.
+    """
     out: List[Segment] = []
     for lo, hi, sa, sb in _overlaps(f, g):
+        a_ic, a_sl = sa[2], sa[3]
+        b_ic, b_sl = sb[2], sb[3]
         xc = _crossing(sa, sb, lo, hi)
-        cuts = [lo, hi] if xc is None else [lo, xc, hi]
-        for a, b in zip(cuts, cuts[1:]):
+        cuts = (lo, hi) if xc is None else (lo, xc, hi)
+        for k in range(len(cuts) - 1):
+            a = cuts[k]
+            b = cuts[k + 1]
             if b < a:
                 continue
             mid = 0.5 * (a + b)
-            chosen = sa if pick(sa, sb, mid) else sb
-            out.append(Segment(a, b, chosen.intercept, chosen.slope))
-        if lo == hi:  # point overlap: zip above produced nothing
-            chosen = sa if pick(sa, sb, lo) else sb
-            out.append(Segment(lo, hi, chosen.intercept, chosen.slope))
+            ya = a_ic + a_sl * mid
+            yb = b_ic + b_sl * mid
+            if (ya >= yb) if max_of else (ya <= yb):
+                piece = _raw(Segment, (a, b, a_ic, a_sl))
+            else:
+                piece = _raw(Segment, (a, b, b_ic, b_sl))
+            # a point shared by two successive overlaps comes out twice;
+            # the collinear merge would fold the copy into the first
+            if a == b and out and _same_bits(piece, out[-1]):
+                continue
+            out.append(piece)
     return PWL(_dedupe_points(out))
 
 
+def _same_bits(p: Segment, q: Segment) -> bool:
+    """``p == q`` with signed zeros told apart (``0.0 == -0.0`` in Python)."""
+    return p == q and all(
+        math.copysign(1.0, x) == math.copysign(1.0, y) for x, y in zip(p, q)
+    )
+
+
 def _dedupe_points(segments: List[Segment]) -> List[Segment]:
-    """Drop point segments swallowed by an adjacent full segment."""
-    full = [s for s in segments if s.hi > s.lo]
-    points = [s for s in segments if s.hi == s.lo]
-    kept = list(full)
-    for p in points:
-        if not any(f.lo - ATOL <= p.lo <= f.hi + ATOL for f in full):
-            kept.append(p)
+    """Drop point segments swallowed by an adjacent full segment.
+
+    Keeps the input order, so pieces of :func:`_combine` stay sorted.
+    """
+    full = [s for s in segments if s[1] > s[0]]
+    if len(full) == len(segments):
+        return segments
+    kept: List[Segment] = []
+    for s in segments:
+        x = s[0]
+        if s[1] > x or not any(f[0] - ATOL <= x <= f[1] + ATOL for f in full):
+            kept.append(s)
     return kept
 
 
 def _crossing(a: Segment, b: Segment, lo: float, hi: float) -> Optional[float]:
     """Interior crossing point of two lines within ``(lo, hi)``, if any."""
-    ds = a.slope - b.slope
+    ds = a[3] - b[3]
     if abs(ds) <= _EPS:
         # (numerically) parallel: a sub-_EPS slope difference would place
         # the crossing far outside any finite domain of interest
         return None
-    x = (b.intercept - a.intercept) / ds
+    x = (b[2] - a[2]) / ds
     if lo + _EPS < x < hi - _EPS:
         return x
     return None

@@ -32,7 +32,7 @@ into it.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
 from ..tech.buffers import Repeater
@@ -110,7 +110,7 @@ class Trace:
 _EMPTY_TRACE = Trace()
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Solution:
     """One DP subsolution (see module docstring for field semantics).
 
@@ -156,11 +156,15 @@ class Solution:
             return None
         if new_domain == self.domain:
             return self
-        return replace(
-            self,
-            domain=new_domain,
+        return Solution(
+            cost=self.cost,
+            cap=self.cap,
+            q=self.q,
             arr=self.arr.restrict(new_domain) if self.arr is not None else None,
             diam=self.diam.restrict(new_domain) if self.diam is not None else None,
+            domain=new_domain,
+            trace=self.trace,
+            parity=self.parity,
             uid=self.uid,
         )
 
@@ -251,7 +255,7 @@ def augment_wire(
     """
     if resistance < 0.0 or capacitance < 0.0:
         raise ValueError("wire parameters must be non-negative")
-    new_domain = sol.domain.shift(-capacitance).clamp(0.0, c_max)
+    new_domain = sol.domain.shift_clamp(-capacitance, 0.0, c_max)
     if new_domain.is_empty:
         return None
     q = sol.q
@@ -259,15 +263,14 @@ def augment_wire(
         q = q + resistance * (0.5 * capacitance + sol.cap)
     arr = None
     if sol.arr is not None:
-        arr = sol.arr.shift(capacitance).add_linear(
-            resistance * 0.5 * capacitance, resistance
+        arr = sol.arr.shift_into(
+            capacitance, new_domain, (resistance * 0.5 * capacitance, resistance)
         )
-        arr = arr.restrict(new_domain)
         if arr.is_empty:
             return None
     diam = None
     if sol.diam is not None:
-        diam = sol.diam.shift(capacitance).restrict(new_domain)
+        diam = sol.diam.shift_into(capacitance, new_domain)
         if diam.is_empty:
             return None
     trace = sol.trace
@@ -301,16 +304,12 @@ def join(s1: Solution, s2: Solution, c_max: float) -> Optional[Solution]:
     """
     if s1.parity != s2.parity:
         return None
-    domain = (
-        s1.domain.shift(-s2.cap)
-        .intersect(s2.domain.shift(-s1.cap))
-        .clamp(0.0, c_max)
-    )
+    domain = s1.domain.shift_clamp(-s2.cap, 0.0, c_max, meet=(s2.domain, -s1.cap))
     if domain.is_empty:
         return None
 
-    arr1 = s1.arr.shift(s2.cap).restrict(domain) if s1.arr is not None else None
-    arr2 = s2.arr.shift(s1.cap).restrict(domain) if s2.arr is not None else None
+    arr1 = s1.arr.shift_into(s2.cap, domain) if s1.arr is not None else None
+    arr2 = s2.arr.shift_into(s1.cap, domain) if s2.arr is not None else None
     for a in (arr1, arr2):
         if a is not None and a.is_empty:
             return None
@@ -319,9 +318,9 @@ def join(s1: Solution, s2: Solution, c_max: float) -> Optional[Solution]:
 
     diam_candidates: List[PWL] = []
     if s1.diam is not None:
-        diam_candidates.append(s1.diam.shift(s2.cap).restrict(domain))
+        diam_candidates.append(s1.diam.shift_into(s2.cap, domain))
     if s2.diam is not None:
-        diam_candidates.append(s2.diam.shift(s1.cap).restrict(domain))
+        diam_candidates.append(s2.diam.shift_into(s1.cap, domain))
     if arr1 is not None and s2.q != NEVER:
         diam_candidates.append(arr1.add_scalar(s2.q))
     if arr2 is not None and s1.q != NEVER:

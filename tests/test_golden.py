@@ -10,6 +10,8 @@ If a change is *intentional* (a documented model fix), update these
 constants together with EXPERIMENTS.md in the same commit.
 """
 
+import hashlib
+
 import pytest
 
 from repro.core.ard import ard
@@ -67,3 +69,34 @@ class TestGoldenInstances:
         opt = fixed_1x_option()
         assert opt.arrival_penalty == pytest.approx(20.0)
         assert opt.sink_delay_extra == pytest.approx(130.0)
+
+
+#: SHA-256 over every root solution of the sweep in
+#: :func:`test_msri_bit_fingerprint`, recorded before the PWL kernel's fast
+#: paths existed.  Any change to a float the DP produces moves it.
+MSRI_FINGERPRINT = (
+    "1b5875e9321a947776943669a08c7af2f8786d95735379def22c20d1db32b9d5"
+)
+
+
+def test_msri_bit_fingerprint():
+    """Float-level identity of the exact DP's root suites.
+
+    The golden values above compare with ``approx``; this hashes the exact
+    bits of ``(cost, ard, assignment)`` for every root solution over seeds
+    0-9, 3-5 pins and spacings 800/1600 um (270 solutions), so a kernel
+    rewrite must reproduce every float, not just every rounded value.
+    """
+    options = repeater_insertion_options()
+    digest = hashlib.sha256()
+    count = 0
+    for pins in (3, 4, 5):
+        for spacing in (800.0, 1600.0):
+            for seed in range(10):
+                res = insert_repeaters(paper_instance(seed, pins, spacing), TECH, options)
+                for s in res.solutions:
+                    assign = sorted((k, repr(v)) for k, v in s.assignment().items())
+                    digest.update(repr((s.cost, s.ard.hex(), assign)).encode())
+                    count += 1
+    assert count == 270
+    assert digest.hexdigest() == MSRI_FINGERPRINT

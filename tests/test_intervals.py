@@ -1,12 +1,13 @@
 """Unit and property tests for the closed-interval algebra."""
 
 import math
+import pickle
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.intervals import Interval, IntervalSet, union_all
+from repro.core.intervals import ATOL, Interval, IntervalSet, union_all
 
 
 class TestInterval:
@@ -232,3 +233,151 @@ def test_difference_self_is_empty(a):
 @settings(max_examples=100)
 def test_shift_preserves_measure(a, delta):
     assert a.shift(delta).measure == pytest.approx(a.measure, rel=1e-9, abs=1e-9)
+
+
+# -- fast paths against the reference composition -----------------------------
+#
+# Coalescing skips its sort on ordered input, the set operations build
+# canonical tuples directly, and ``shift_clamp`` runs shift -> intersect ->
+# clamp without intermediate sets.  Each must give exactly the intervals of
+# the plain algorithm below, compared through ``float.hex``.
+
+
+def _ref_coalesce(intervals, atol=ATOL):
+    """Stable sort by ``(lo, hi)``, then merge overlapping/touching runs."""
+    merged = []
+    for iv in sorted(intervals, key=lambda iv: (iv.lo, iv.hi)):
+        if merged and iv.lo <= merged[-1].hi + atol:
+            last = merged[-1]
+            if iv.hi > last.hi:
+                merged[-1] = Interval(last.lo, iv.hi)
+        else:
+            merged.append(iv)
+    return tuple(merged)
+
+
+def _ref_intersect(a, b):
+    out = []
+    i = j = 0
+    while i < len(a) and j < len(b):
+        lo, hi = max(a[i].lo, b[j].lo), min(a[i].hi, b[j].hi)
+        if lo <= hi:
+            out.append(Interval(lo, hi))
+        if a[i].hi < b[j].hi:
+            i += 1
+        else:
+            j += 1
+    return _ref_coalesce(out)
+
+
+def _ref_shift(ivs, delta):
+    return _ref_coalesce(Interval(iv.lo + delta, iv.hi + delta) for iv in ivs)
+
+
+def _bits(ivs):
+    return [(float(iv.lo).hex(), float(iv.hi).hex()) for iv in ivs]
+
+
+#: Gaps straddling the coalescing tolerance, so rounding decides merges.
+_gap = st.sampled_from([0.0, 5e-13, 1e-12, 1.0000001e-12, 2e-12, 1e-6, 1.0])
+
+
+@st.composite
+def interval_lists(draw, max_intervals=6):
+    """Intervals in ``(lo, hi)`` order separated by near-tolerance gaps."""
+    n = draw(st.integers(min_value=0, max_value=max_intervals))
+    x = draw(st.floats(min_value=-100.0, max_value=100.0))
+    out = []
+    for _ in range(n):
+        length = draw(st.sampled_from([0.0, 1e-12, 0.5, 3.0]))
+        out.append(Interval(x, x + length))
+        x = x + length + draw(_gap)
+    return out
+
+
+@given(interval_lists(), st.randoms(use_true_random=False))
+@settings(max_examples=300)
+def test_construction_ignores_input_order(ivs, rnd):
+    shuffled = list(ivs)
+    rnd.shuffle(shuffled)
+    expected = _bits(_ref_coalesce(ivs))
+    assert _bits(IntervalSet(ivs).intervals) == expected
+    assert _bits(IntervalSet(shuffled).intervals) == expected
+    assert all(type(iv) is Interval for iv in IntervalSet(shuffled))
+
+
+@given(interval_lists(), interval_lists(), finite, finite,
+       st.floats(-10.0, 10.0), st.floats(0.0, 300.0), st.booleans())
+@settings(max_examples=300)
+def test_shift_clamp_matches_chain(a, b, da, db, lo, width, meet):
+    sa, sb = IntervalSet(a), IntervalSet(b)
+    hi = lo + width
+    chain = sa.shift(da)
+    ref = _ref_shift(sa.intervals, da)
+    if meet:
+        chain = chain.intersect(sb.shift(db))
+        ref = _ref_intersect(ref, _ref_shift(sb.intervals, db))
+    chain = chain.clamp(lo, hi)
+    ref = _ref_intersect(ref, (Interval(lo, hi),))
+    fused = sa.shift_clamp(da, lo, hi, meet=(sb, db) if meet else None)
+    assert _bits(fused.intervals) == _bits(chain.intervals) == _bits(ref)
+
+
+@given(interval_lists(), interval_lists())
+@settings(max_examples=300)
+def test_intersect_matches_reference(a, b):
+    sa, sb = IntervalSet(a), IntervalSet(b)
+    assert _bits(sa.intersect(sb).intervals) == _bits(
+        _ref_intersect(sa.intervals, sb.intervals)
+    )
+
+
+# -- Interval value semantics ---------------------------------------------------
+
+
+class TestIntervalSemantics:
+    @pytest.mark.parametrize(
+        "lo, hi, message",
+        [
+            (2.0, 1.0, "empty interval: lo=2.0 > hi=1.0"),
+            (math.nan, 1.0, "interval endpoints may not be NaN"),
+            (0.0, math.nan, "interval endpoints may not be NaN"),
+            (math.inf, 0.0, "empty interval: lo=inf > hi=0.0"),
+        ],
+    )
+    def test_rejects_with_message(self, lo, hi, message):
+        with pytest.raises(ValueError) as err:
+            Interval(lo, hi)
+        assert str(err.value) == message
+
+    def test_infinite_endpoints_allowed(self):
+        assert Interval(-math.inf, math.inf).length == math.inf
+
+    def test_immutable(self):
+        iv = Interval(0.0, 1.0)
+        for field in ("lo", "hi"):
+            with pytest.raises(AttributeError):
+                setattr(iv, field, 5.0)
+        with pytest.raises(AttributeError):
+            iv.extra = 1.0
+
+    def test_equality_and_hash(self):
+        assert Interval(0.0, 1.0) == Interval(0.0, 1.0)
+        assert hash(Interval(0.0, 1.0)) == hash(Interval(0.0, 1.0))
+        assert Interval(0.0, 1.0) != Interval(0.0, 2.0)
+        assert len({Interval(0, 1), Interval(0, 1), Interval(1, 2)}) == 2
+
+    def test_ordering_is_by_lo_then_hi(self):
+        ivs = [Interval(1, 3), Interval(0, 5), Interval(1, 2), Interval(0, 0)]
+        assert sorted(ivs) == [Interval(0, 0), Interval(0, 5), Interval(1, 2), Interval(1, 3)]
+        assert Interval(0, 1) < Interval(0, 2) < Interval(1, 1)
+        assert Interval(0, 1) <= Interval(0, 1)
+
+    def test_repr(self):
+        assert repr(Interval(0.5, 2.0)) == "[0.5, 2]"
+        assert repr(IntervalSet.from_pairs([(0, 1), (2, 3)])) == "IntervalSet([0, 1] u [2, 3])"
+
+    def test_pickle_round_trip(self):
+        iv = Interval(0.0, 1.0)
+        out = pickle.loads(pickle.dumps(iv))
+        assert out == iv and type(out) is Interval

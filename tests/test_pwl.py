@@ -1,12 +1,15 @@
 """Unit and property tests for PWL functions and the paper's Eq. (3) primitives."""
 
+import copy
 import math
+import pickle
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from repro.core.intervals import IntervalSet
+from repro.core import pwl as pwl_module
+from repro.core.intervals import ATOL, IntervalSet
 from repro.core.pwl import PWL, Segment, maximum_all
 
 
@@ -348,3 +351,288 @@ def test_maximum_associative_pointwise(f, g, h):
     b = f.maximum(g.maximum(h))
     for x in _grid(a, b):
         assert a.evaluate(x) == pytest.approx(b.evaluate(x), abs=1e-6)
+
+
+# -- fast paths against the reference composition -----------------------------
+#
+# PWL construction skips its sort on ordered input, ``restrict`` returns
+# ``self`` when one region interval covers the function, and ``shift_into``
+# runs shift -> add_linear -> restrict without intermediate functions.
+# Each must give exactly the segments of the plain algorithm below:
+# compared through ``float.hex`` so even a signed zero cannot differ.
+
+
+def _ref_canonical(segments):
+    """Stable sort by domain, reject overlaps, merge touching collinear runs."""
+    segs = sorted(segments, key=lambda s: (s.lo, s.hi))
+    for a, b in zip(segs, segs[1:]):
+        if b.lo < a.hi - ATOL:
+            raise ValueError(f"overlapping segment domains: {a} and {b}")
+    merged = []
+    for seg in segs:
+        if merged and abs(seg.lo - merged[-1].hi) <= ATOL and merged[-1].same_line(seg):
+            prev = merged[-1]
+            merged[-1] = Segment(prev.lo, seg.hi, prev.intercept, prev.slope)
+        else:
+            merged.append(seg)
+    return tuple(merged)
+
+
+def _ref_shift(segs, c):
+    out = []
+    for s in segs:
+        lo, hi = s.lo - c, s.hi - c
+        if hi < 0.0:
+            continue
+        out.append(Segment(max(lo, 0.0), hi, s.intercept + s.slope * c, s.slope))
+    return _ref_canonical(out)
+
+
+def _ref_add_linear(segs, a, b):
+    return _ref_canonical(
+        Segment(s.lo, s.hi, s.intercept + a, s.slope + b) for s in segs
+    )
+
+
+def _ref_restrict(segs, region):
+    out = []
+    for s in segs:
+        for iv in region:
+            lo, hi = max(s.lo, iv.lo), min(s.hi, iv.hi)
+            if lo <= hi:
+                out.append(Segment(lo, hi, s.intercept, s.slope))
+    return _ref_canonical(out)
+
+
+def _ref_combine(f, g, max_of):
+    """Piece-wise max/min: cut each overlap at the crossing, pick by midpoint."""
+    out = []
+    i = j = 0
+    fs, gs = f.segments, g.segments
+    while i < len(fs) and j < len(gs):
+        sa, sb = fs[i], gs[j]
+        lo, hi = max(sa.lo, sb.lo), min(sa.hi, sb.hi)
+        if lo <= hi:
+            cuts = [lo, hi]
+            ds = sa.slope - sb.slope
+            if abs(ds) > 1e-9:
+                x = (sb.intercept - sa.intercept) / ds
+                if lo + 1e-9 < x < hi - 1e-9:
+                    cuts = [lo, x, hi]
+            for a, b in zip(cuts, cuts[1:]):
+                mid = 0.5 * (a + b)
+                ya, yb = sa.value(mid), sb.value(mid)
+                chosen = sa if (ya >= yb if max_of else ya <= yb) else sb
+                out.append(Segment(a, b, chosen.intercept, chosen.slope))
+        if sa.hi < sb.hi:
+            i += 1
+        else:
+            j += 1
+    full = [s for s in out if s.hi > s.lo]
+    points = [
+        p for p in out
+        if p.hi == p.lo and not any(s.lo - ATOL <= p.lo <= s.hi + ATOL for s in full)
+    ]
+    return _ref_canonical(full + points)
+
+
+def _bits(segs):
+    return [tuple(float(v).hex() for v in s) for s in segs]
+
+
+#: Coefficient magnitudes from unit scale up to the large slopes where the
+#: collinear merge's relative tolerance decides.
+_scale = st.sampled_from([1.0, 1e3, 1e6, 1e9])
+#: Relative perturbations straddling the merge tolerance (1e-9).
+_nudge = st.sampled_from([0.0, 0.0, 3e-10, 9e-10, 1e-9, 1.1e-9, 2e-9, -9e-10, 1e-3])
+
+
+@st.composite
+def segment_lists(draw, max_segments=6):
+    """Ordered, non-overlapping segments on [0, 100]: contiguous runs of
+    near-collinear lines, with optional holes and point segments."""
+    n = draw(st.integers(min_value=1, max_value=max_segments))
+    xs = sorted(draw(st.lists(
+        st.floats(min_value=0.0, max_value=100.0), min_size=n + 1, max_size=n + 1,
+        unique=True,
+    )))
+    base_ic = draw(st.floats(min_value=-1.0, max_value=1.0)) * draw(_scale)
+    base_sl = draw(st.floats(min_value=-1.0, max_value=1.0)) * draw(_scale)
+    segs = []
+    for lo, hi in zip(xs, xs[1:]):
+        kind = draw(st.sampled_from(["seg", "seg", "seg", "hole", "point"]))
+        if kind == "hole":
+            continue
+        if kind == "point":
+            hi = lo
+        ic = base_ic * (1.0 + draw(_nudge))
+        sl = base_sl * (1.0 + draw(_nudge))
+        segs.append(Segment(lo, hi, ic, sl))
+    return segs
+
+
+@st.composite
+def regions(draw):
+    """Interval sets on [-10, 110]: sometimes one covering interval."""
+    if draw(st.booleans()):
+        return IntervalSet.single(draw(st.floats(-10.0, 0.0)), draw(st.floats(100.0, 110.0)))
+    ends = sorted(draw(st.lists(st.floats(-10.0, 110.0), min_size=2, max_size=6)))
+    pairs = list(zip(ends[::2], ends[1::2]))
+    return IntervalSet.from_pairs(pairs)
+
+
+@given(segment_lists(), st.randoms(use_true_random=False))
+@settings(max_examples=300)
+def test_construction_ignores_input_order(segs, rnd):
+    shuffled = list(segs)
+    rnd.shuffle(shuffled)
+    expected = _bits(_ref_canonical(segs))
+    assert _bits(PWL(segs).segments) == expected
+    assert _bits(PWL(shuffled).segments) == expected
+    assert all(type(s) is Segment for s in PWL(shuffled).segments)
+
+
+@given(segment_lists(), st.floats(min_value=0.0, max_value=60.0), regions(),
+       st.floats(-1.0, 1.0), st.floats(-1.0, 1.0), _scale, st.booleans())
+@settings(max_examples=300)
+def test_shift_into_matches_chain(segs, c, region, a, b, scale, lift):
+    f = PWL(segs)
+    linear = (a * scale, b * scale) if lift else None
+    fused = f.shift_into(c, region, linear)
+    chain = f.shift(c)
+    ref = _ref_shift(f.segments, c)
+    if linear is not None:
+        chain = chain.add_linear(*linear)
+        ref = _ref_add_linear(ref, *linear)
+    chain = chain.restrict(region)
+    ref = _ref_restrict(ref, region)
+    assert _bits(fused.segments) == _bits(chain.segments) == _bits(ref)
+
+
+@given(segment_lists(), st.floats(-1.0, 1.0), _scale)
+@settings(max_examples=200)
+def test_scalar_and_linear_adds_match_reference(segs, a, scale):
+    f = PWL(segs)
+    assert _bits(f.add_linear(a * scale, -a).segments) == _bits(
+        _ref_add_linear(f.segments, a * scale, -a)
+    )
+    assert _bits(f.add_scalar(a * scale).segments) == _bits(_ref_canonical(
+        Segment(s.lo, s.hi, s.intercept + a * scale, s.slope) for s in f.segments
+    ))
+
+
+@given(segment_lists(), regions())
+@settings(max_examples=300)
+def test_restrict_matches_general_loop(segs, region):
+    f = PWL(segs)
+    assert _bits(f.restrict(region).segments) == _bits(_ref_restrict(f.segments, region))
+
+
+@given(segment_lists(), st.floats(0.0, 5.0), st.floats(0.0, 5.0))
+@settings(max_examples=200)
+def test_restrict_noop_when_one_interval_covers(segs, below, above):
+    assume(segs)
+    f = PWL(segs)
+    region = IntervalSet.from_pairs(
+        [(-50.0, -40.0), (f.domain().lo - below, f.domain().hi + above), (150.0, 160.0)]
+    )
+    assert f.restrict(region) is f
+    assert _bits(f.segments) == _bits(_ref_restrict(f.segments, region))
+
+
+@given(segment_lists(), segment_lists())
+@settings(max_examples=300)
+def test_maximum_minimum_match_reference(segs_f, segs_g):
+    f, g = PWL(segs_f), PWL(segs_g)
+    assert _bits(f.maximum(g).segments) == _bits(_ref_combine(f, g, True))
+    assert _bits(f.minimum(g).segments) == _bits(_ref_combine(f, g, False))
+
+
+def _handed_to_pwl(monkeypatch, f, g):
+    """The segment list ``f.maximum(g)`` passes to the PWL constructor."""
+    seen = []
+    canonicalize = pwl_module._canonicalize
+
+    def spy(segments):
+        seen.append(list(segments))
+        return canonicalize(seen[-1])
+
+    monkeypatch.setattr(pwl_module, "_canonicalize", spy)
+    f.maximum(g)
+    monkeypatch.undo()
+    return seen[-1]
+
+
+def test_combine_point_overlap_has_no_duplicate(monkeypatch):
+    f = PWL([Segment(0, 1, 0, 1)])
+    g = PWL([Segment(1, 2, 5, 0)])
+    assert _handed_to_pwl(monkeypatch, f, g) == [Segment(1, 1, 5, 0)]
+    assert f.maximum(g).segments == (Segment(1, 1, 5, 0),)
+
+
+@given(segment_lists(), segment_lists())
+@settings(max_examples=200)
+def test_combine_hands_pwl_ordered_unique_segments(segs_f, segs_g):
+    f, g = PWL(segs_f), PWL(segs_g)
+    with pytest.MonkeyPatch.context() as mp:
+        pieces = _handed_to_pwl(mp, f, g)
+    assert len(set(pieces)) == len(pieces)
+    keys = [(s.lo, s.hi) for s in pieces]
+    assert keys == sorted(keys)
+
+
+# -- Segment value semantics ----------------------------------------------------
+
+
+class TestSegmentSemantics:
+    @pytest.mark.parametrize(
+        "args, message",
+        [
+            ((5.0, 4.0, 0.0, 0.0), "segment domain empty: [5.0, 4.0]"),
+            ((0.0, math.inf, 0.0, 0.0), "segment domain must be finite"),
+            ((-math.inf, 0.0, 0.0, 0.0), "segment domain must be finite"),
+            ((math.nan, 1.0, 0.0, 0.0), "segment domain must be finite"),
+            ((0.0, math.nan, 0.0, 0.0), "segment domain must be finite"),
+            ((0.0, 1.0, math.inf, 0.0), "segment coefficients must be finite"),
+            ((0.0, 1.0, 0.0, -math.inf), "segment coefficients must be finite"),
+            ((0.0, 1.0, math.nan, 0.0), "segment coefficients must be finite"),
+            ((0.0, 1.0, 0.0, math.nan), "segment coefficients must be finite"),
+        ],
+    )
+    def test_rejects_with_message(self, args, message):
+        with pytest.raises(ValueError) as err:
+            Segment(*args)
+        assert str(err.value) == message
+
+    def test_immutable(self):
+        s = Segment(0.0, 1.0, 2.0, 3.0)
+        for field in ("lo", "hi", "intercept", "slope"):
+            with pytest.raises(AttributeError):
+                setattr(s, field, 9.0)
+        with pytest.raises(AttributeError):
+            s.extra = 1.0
+
+    def test_equality_and_hash(self):
+        a = Segment(0.0, 1.0, 2.0, 3.0)
+        b = Segment(0.0, 1.0, 2.0, 3.0)
+        assert a == b and hash(a) == hash(b)
+        assert a != Segment(0.0, 1.0, 2.0, 3.5)
+        assert len({a, b, Segment(0.0, 1.0, 2.0, 3.5)}) == 2
+
+    def test_fields_and_repr(self):
+        s = Segment(0.0, 1.0, 2.0, 3.0)
+        assert (s.lo, s.hi, s.intercept, s.slope) == (0.0, 1.0, 2.0, 3.0)
+        assert repr(s) == "Segment(lo=0.0, hi=1.0, intercept=2.0, slope=3.0)"
+
+    def test_pickle_round_trip_revalidates(self):
+        s = Segment(0.0, 1.0, 2.0, 3.0)
+        t = pickle.loads(pickle.dumps(s))
+        assert t == s and type(t) is Segment
+        assert copy.deepcopy(s) == s
+
+    def test_pwl_rejects_overlap_with_message(self):
+        a, b = Segment(0, 2, 0, 0), Segment(1, 3, 1, 0)
+        for order in ([a, b], [b, a]):
+            with pytest.raises(ValueError) as err:
+                PWL(order)
+            assert str(err.value) == f"overlapping segment domains: {a} and {b}"
