@@ -371,7 +371,12 @@ def mfs(
     their scalar coordinates (the paper's Sec. V organizational suggestion:
     "maintaining solution sets in sorted order by cost and secondarily by
     capacitance"), which makes weak kills land early.
+
+    ``leaf_size`` (at least 1) is the set size below which the recursion
+    falls back to the pairwise filter.
     """
+    if leaf_size < 1:
+        raise ValueError(f"mfs leaf_size must be >= 1, got {leaf_size}")
     ordered = sorted(solutions, key=lambda s: (s.parity, s.cost, s.cap, s.q, s.uid))
     return _mfs_rec(ordered, leaf_size, prescreen)
 

@@ -17,7 +17,9 @@ The vertex dispatch mirrors the paper's Fig. 5:
   (Fig. 7);
 * insertion pt  → unbuffered solutions plus one
   :func:`~repro.core.solution.apply_repeater` per oriented library repeater
-  (Fig. 8);
+  (Fig. 8), except for the buffered candidates a predictive stage
+  certifies dominated by a sibling before building them
+  (docs/ALGORITHMS.md §15);
 * root terminal → :func:`~repro.core.solution.evaluate_at_root` (Fig. 9);
 
 with :func:`~repro.core.solution.augment_wire` (Fig. 10) extending each set
@@ -38,10 +40,15 @@ from ..check import contracts
 from ..obs import core as obs
 from ..rctree.engine import EvalContext
 from ..rctree.topology import NodeKind, RoutingTree
-from ..tech.buffers import RepeaterLibrary
+from ..tech.buffers import Repeater, RepeaterLibrary
 from ..tech.parameters import Technology
 from .mfs import mfs, mfs_pairwise
-from .prefilter import min_diam_lower_bound, prefilter_front
+from .prefilter import (
+    LEQ_FULL,
+    line_leq_status,
+    min_diam_lower_bound,
+    prefilter_front,
+)
 from .pwl import max_segment_count
 from .solution import (
     Placement,
@@ -50,6 +57,7 @@ from .solution import (
     Trace,
     apply_repeater,
     augment_wire,
+    buffered_summary,
     evaluate_at_root,
     join,
     leaf_solution,
@@ -205,6 +213,10 @@ class MSRIOptions:
             )
         if self.wire_library is not None and not self.wire_library:
             raise ValueError("wire_library may not be empty when given")
+        if self.mfs_leaf_size < 1:
+            raise ValueError(
+                f"mfs_leaf_size must be >= 1, got {self.mfs_leaf_size}"
+            )
         if self.max_front_width is not None and self.max_front_width < 2:
             raise ValueError(
                 f"max_front_width must be >= 2 (a front needs at least its "
@@ -360,9 +372,9 @@ def insert_repeaters(
             if v == root:
                 continue
             with obs.trace("msri.prune", node=v) if observing else obs.NULL_SPAN:
-                raw = _raw_set(tree, tech, v, sets, c_max, prune, options, widths)
-                generated = len(raw)
-                pruned = prune(raw)
+                generated, pruned = _node_front(
+                    tree, tech, v, sets, c_max, prune, options, widths
+                )
             # one count record drives the contract, the stats totals and
             # the obs point — the three views cannot diverge
             counts = stats.record(v, generated, pruned)
@@ -399,7 +411,7 @@ def insert_repeaters(
 # -- per-kind solution set construction ------------------------------------------
 
 
-def _raw_set(
+def _node_front(
     tree: RoutingTree,
     tech: Technology,
     v: int,
@@ -408,19 +420,27 @@ def _raw_set(
     prune,
     options: MSRIOptions,
     widths: Optional[Dict[int, float]] = None,
-) -> List[Solution]:
-    """The Fig. 5 per-kind candidate construction for one non-root vertex.
+) -> Tuple[int, List[Solution]]:
+    """Build and prune the front of one non-root vertex (Fig. 5).
 
-    Shared by :func:`insert_repeaters` and the incremental/parallel paths
-    in :mod:`repro.core.msri_engine`, so every solver runs the exact same
-    arithmetic per node.
+    Returns ``(generated, front)``; ``generated`` also counts the
+    buffered candidates the insertion stage certified dominated without
+    building them, so ``generated == kept + pruned`` per node.  Shared by
+    :func:`insert_repeaters` and the incremental/parallel paths in
+    :mod:`repro.core.msri_engine`, so every solver runs the exact same
+    arithmetic per node, and prunes each vertex exactly once.
     """
     node = tree.node(v)
     if node.kind is NodeKind.TERMINAL:
-        return _leaf_set(node, v, c_max, options)
+        raw = _leaf_set(node, v, c_max, options)
+        return len(raw), prune(raw)
     if node.kind is NodeKind.STEINER:
-        return _branch_set(tree, tech, v, sets, c_max, prune, options, widths)
-    return _insertion_set(tree, tech, v, sets, c_max, options, widths)
+        raw = _branch_set(tree, tech, v, sets, c_max, prune, options, widths)
+        return len(raw), prune(raw)
+    raw, unbuilt, complete = _insertion_set(
+        tree, tech, v, sets, c_max, options, widths
+    )
+    return len(raw) + unbuilt, prune(raw, unbuilt, complete)
 
 
 def _leaf_set(node, v: int, c_max: float, options: MSRIOptions) -> List[Solution]:
@@ -514,19 +534,27 @@ def _branch_set(
     options: MSRIOptions,
     widths: Optional[Dict[int, float]] = None,
 ) -> List[Solution]:
+    """The joined candidates of a branch vertex (Fig. 7).
+
+    The last pairwise join is returned unpruned: the caller prunes every
+    vertex once.
+    """
     child_sets = _augmented_child_sets(tree, tech, v, sets, c_max, options, widths)
     current = child_sets[0]
-    for other in child_sets[1:]:
+    for n, other in enumerate(child_sets[1:]):
+        if n:
+            # prune between pairwise joins: branch points are where
+            # suboptimal combinations explode (the paper notes pruning is
+            # most effective when constructing solutions at a branch point
+            # from its children)
+            current = prune(current)
         combined = []
         for s1 in current:
             for s2 in other:
                 j = join(s1, s2, c_max)
                 if j is not None:
                     combined.append(j)
-        # prune between pairwise joins: branch points are where suboptimal
-        # combinations explode (the paper notes pruning is most effective
-        # when constructing solutions at a branch point from its children)
-        current = prune(combined)
+        current = combined
     return current
 
 
@@ -538,16 +566,101 @@ def _insertion_set(
     c_max: float,
     options: MSRIOptions,
     widths: Optional[Dict[int, float]] = None,
-) -> List[Solution]:
+) -> Tuple[List[Solution], int, Optional[List[Solution]]]:
+    """The candidates of an insertion point (Fig. 8): unbuffered + buffered.
+
+    Returns ``(built, unbuilt, complete)``.  Under ``options.prefilter``
+    the predictive stage (:func:`_buffered_survivors`) certifies some
+    buffered candidates dominated by a sibling from four scalars, and
+    only the rest are built; ``unbuilt`` counts the others.  Under
+    contracts every buffered candidate is built, in parent order, and
+    ``complete`` is that full set, for the pruner to check its front
+    against; otherwise ``complete`` is None.
+    """
     (unbuffered,) = _augmented_child_sets(tree, tech, v, sets, c_max, options, widths)
     out = list(unbuffered)
-    if options.library is not None:
+    if options.library is None:
+        return out, 0, None
+    if not options.prefilter:
         for rep in options.library.oriented_options():
             for s in unbuffered:
                 buffered = apply_repeater(s, rep, v, c_max)
                 if buffered is not None:
                     out.append(buffered)
-    return out
+        return out, 0, None
+    complete = list(unbuffered) if contracts.contracts_enabled() else None
+    unbuilt = 0
+    for rep in options.library.oriented_options():
+        survivors, considered = _buffered_survivors(unbuffered, rep, c_max)
+        unbuilt += considered - len(survivors)
+        if complete is None:
+            for i in survivors:
+                out.append(apply_repeater(unbuffered[i], rep, v, c_max))
+        else:
+            built = [apply_repeater(s, rep, v, c_max) for s in unbuffered]
+            complete.extend(b for b in built if b is not None)
+            out.extend(built[i] for i in survivors)
+    return out, unbuilt, complete
+
+
+def _buffered_survivors(
+    parents: List[Solution], rep: Repeater, c_max: float
+) -> Tuple[List[int], int]:
+    """Predictive pruning of the candidates ``apply_repeater(p, rep)``.
+
+    Returns the indices of the parents whose buffered candidate survives,
+    ascending, and the number of candidates considered (parents whose
+    domain holds ``c_b``).  Siblings share cap ``c_a``, domain ``[0,
+    c_max]`` and ``arr`` slope ``r_ba``, and their ``diam`` is constant,
+    so each is :func:`~repro.core.solution.buffered_summary`'s scalars
+    plus parity.  They are swept in the MFS order ``(parity, cost, cap,
+    q, uid)`` — the parent index stands in for the uid, since siblings
+    are built in parent order — and a candidate is dropped under
+    :func:`~repro.core.prefilter.prefilter_front`'s full certificate
+    against an earlier survivor: exact scalar ``<=`` and ``LEQ_FULL`` on
+    both lines, classified by :func:`line_leq_status` exactly as
+    ``leq_status`` classifies the built functions (docs/ALGORITHMS.md
+    §15).
+    """
+    flip = 1 if rep.is_inverting else 0
+    entries = []
+    for i, s in enumerate(parents):
+        summary = buffered_summary(s, rep)
+        if summary is not None:
+            cost, q, arr_0, diam_b = summary
+            entries.append((s.parity ^ flip, cost, q, i, arr_0, diam_b))
+    entries.sort()  # the index is unique: arr_0/diam_b are never compared
+    slope = rep.r_ba
+    killers: List[tuple] = []
+    survivors: List[int] = []
+    for entry in entries:
+        parity, cost, q, i, arr_0, diam_b = entry
+        # any earlier survivor may certify the drop, so the scan order is
+        # free: the latest survivors are the nearest in (cost, q) and the
+        # likeliest killers, and the constant diam is the more selective
+        # line — the same decisions with about 2.5x fewer classifications
+        # on the paper-protocol 5-pin nets
+        for k_parity, k_cost, k_q, _, k_arr, k_diam in reversed(killers):
+            # None is the identically -inf function, as in leq_status
+            if (
+                k_parity == parity
+                and k_cost <= cost
+                and k_q <= q
+                and (k_diam is None or (
+                    diam_b is not None
+                    and line_leq_status(0.0, c_max, k_diam, 0.0, diam_b, 0.0)
+                    == LEQ_FULL))
+                and (k_arr is None or (
+                    arr_0 is not None
+                    and line_leq_status(0.0, c_max, k_arr, slope, arr_0, slope)
+                    == LEQ_FULL))
+            ):
+                break
+        else:
+            killers.append(entry)
+            survivors.append(i)
+    survivors.sort()
+    return survivors, len(entries)
 
 
 def _root_set(
@@ -667,9 +780,12 @@ def _make_pruner(options: MSRIOptions):
 
     prefilter (exact drop of certified-dominated candidates) → MFS (with
     the pair prescreen riding on the same knob) → width cap / segment
-    budget.  Under ``REPRO_CHECK`` the pre-cap front is additionally
-    cross-checked against a prescreen-free MFS pass over the *raw*
-    candidates: exact mode must be bit-identical (docs/PRUNING.md).
+    budget.  ``unbuilt`` counts candidates the insertion stage already
+    certified dominated without building them; the prefilter counters
+    include them.  Under ``REPRO_CHECK`` the pre-cap front is
+    additionally cross-checked against a prescreen-free MFS pass over the
+    *raw* candidates — the ``complete`` set when the caller skipped
+    some: exact mode must be bit-identical (docs/PRUNING.md).
     """
     prescreen = options.prefilter
     if options.use_divide_and_conquer:
@@ -689,19 +805,26 @@ def _make_pruner(options: MSRIOptions):
         or options.max_pwl_segments is not None
     )
 
-    def prune(raw: List[Solution]) -> List[Solution]:
+    def prune(
+        raw: List[Solution],
+        unbuilt: int = 0,
+        complete: Optional[List[Solution]] = None,
+    ) -> List[Solution]:
         candidates = raw
         if options.prefilter:
             candidates = prefilter_front(raw)
             if observing:
-                _OBS_PREFILTER_EXAMINED.add(len(raw))
-                _OBS_PREFILTER_DROPPED.add(len(raw) - len(candidates))
+                examined = len(raw) + unbuilt
+                _OBS_PREFILTER_EXAMINED.add(examined)
+                _OBS_PREFILTER_DROPPED.add(examined - len(candidates))
         front = base(candidates)
         if checking:
             contracts.verify_pareto(front)
             if options.prefilter:
                 contracts.verify_front_equivalence(
-                    front, baseline(raw), context="MSRI prefilter"
+                    front,
+                    baseline(raw if complete is None else complete),
+                    context="MSRI prefilter",
                 )
         if has_caps:
             front = _enforce_caps(front, options, observing)

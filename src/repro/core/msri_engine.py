@@ -54,7 +54,7 @@ from .msri import (
     _context_widths,
     _domain_bound,
     _make_pruner,
-    _raw_set,
+    _node_front,
     _root_set,
     insert_repeaters,
 )
@@ -350,11 +350,9 @@ class IncrementalMSRI:
         observing = obs.enabled()
         sets = self._fronts
         for v in reversed(order):
-            raw = _raw_set(
+            generated, pruned = _node_front(
                 tree, self.tech, v, sets, c_max, prune, options, self._widths
             )
-            generated = len(raw)
-            pruned = prune(raw)
             counts = stats.record(v, generated, pruned)
             if checking:
                 contracts.verify_msri_node_conservation(
@@ -489,9 +487,9 @@ def _solve_subtree_job(
     checking = contracts.contracts_enabled()
     order = _subtree_preorder(tree, sub_root)
     for v in reversed(order):
-        raw = _raw_set(tree, tech, v, sets, c_max, prune, options, widths)
-        generated = len(raw)
-        pruned = prune(raw)
+        generated, pruned = _node_front(
+            tree, tech, v, sets, c_max, prune, options, widths
+        )
         counts = stats.record(v, generated, pruned)
         if checking:
             contracts.verify_msri_node_conservation(

@@ -23,7 +23,9 @@ Two levels are provided:
   ``repro.core.mfs.prune_one`` uses it to dispatch the full-dominance and
   no-dominance cases in O(segments) time with zero allocation; the
   partial case falls through to the original exact machinery, so results
-  are bit-identical by construction.
+  are bit-identical by construction.  :func:`line_leq_status` is its
+  single-overlap block, shared with the DP's predictive repeater stage,
+  which classifies buffered candidates before building them.
 * :func:`prefilter_front` — a sorted-front candidate sweep run *before*
   the MFS pruner: candidates are visited in the pruner's own tie-break
   order and tested against a bounded list of earlier "killer" solutions;
@@ -54,6 +56,7 @@ __all__ = [
     "LEQ_PARTIAL",
     "LEQ_FULL",
     "leq_status",
+    "line_leq_status",
     "domain_subset",
     "prefilter_front",
     "min_diam_lower_bound",
@@ -63,6 +66,33 @@ __all__ = [
 LEQ_EMPTY = 0   #: ``by <= s`` holds nowhere (or the domains are disjoint)
 LEQ_PARTIAL = 1  #: holds on a proper, non-empty part
 LEQ_FULL = 2    #: holds everywhere on the common domain
+
+
+def line_leq_status(
+    lo: float, hi: float, ai: float, asl: float, bi: float, bsl: float
+) -> int:
+    """Classify where ``ai + asl*x <= bi + bsl*x`` holds on ``[lo, hi]``.
+
+    The single-overlap case of :func:`leq_status` (``lo <= hi``), and
+    the one copy of its arithmetic: two endpoint differences decide the
+    overlap, and numerically parallel lines whose differences straddle
+    zero only by noise are classified by the midpoint.  Callers that
+    know two single-segment functions without building them (the DP's
+    predictive repeater stage) get :func:`leq_status`'s answer bit for
+    bit.
+    """
+    da_lo = (ai + asl * lo) - (bi + bsl * lo)
+    da_hi = (ai + asl * hi) - (bi + bsl * hi)
+    if da_lo <= 0.0 and da_hi <= 0.0:
+        return LEQ_FULL
+    if da_lo > 0.0 and da_hi > 0.0:
+        return LEQ_EMPTY
+    if abs(asl - bsl) <= _EPS:
+        mid = 0.5 * (lo + hi)
+        if (ai + asl * mid) - (bi + bsl * mid) <= 0.0:
+            return LEQ_FULL
+        return LEQ_EMPTY
+    return LEQ_PARTIAL
 
 
 def leq_status(by_f: Optional[PWL], s_f: Optional[PWL]) -> int:
@@ -94,26 +124,15 @@ def leq_status(by_f: Optional[PWL], s_f: Optional[PWL]) -> int:
     ng = len(gs)
     if nf == 1 and ng == 1:
         # single-segment pair (about half of all calls): one overlap, so
-        # the loop below reduces to a direct classification — same
-        # expressions, same outcomes
+        # the loop below reduces to line_leq_status — same expressions,
+        # same outcomes
         a_lo, a_hi, ai, asl = fs[0]
         b_lo, b_hi, bi, bsl = gs[0]
         lo = a_lo if a_lo > b_lo else b_lo
         hi = a_hi if a_hi < b_hi else b_hi
         if lo > hi:
             return LEQ_EMPTY
-        da_lo = (ai + asl * lo) - (bi + bsl * lo)
-        da_hi = (ai + asl * hi) - (bi + bsl * hi)
-        if da_lo <= 0.0 and da_hi <= 0.0:
-            return LEQ_FULL
-        if da_lo > 0.0 and da_hi > 0.0:
-            return LEQ_EMPTY
-        if abs(asl - bsl) <= _EPS:
-            mid = 0.5 * (lo + hi)
-            if (ai + asl * mid) - (bi + bsl * mid) <= 0.0:
-                return LEQ_FULL
-            return LEQ_EMPTY
-        return LEQ_PARTIAL
+        return line_leq_status(lo, hi, ai, asl, bi, bsl)
     i = j = 0
     any_in = any_out = False
     while i < nf and j < ng:

@@ -48,6 +48,7 @@ __all__ = [
     "augment_wire",
     "join",
     "apply_repeater",
+    "buffered_summary",
     "RootSolution",
     "evaluate_at_root",
 ]
@@ -368,33 +369,52 @@ def apply_repeater(
     Returns None when the solution was pruned at ``c_E = c_b`` (another
     solution dominates there and will receive this repeater instead).
     """
-    if not sol.domain.contains(rep.c_b, atol=1e-12):
+    summary = buffered_summary(sol, rep)
+    if summary is None:
         return None
-    full = IntervalSet.single(0.0, c_max)
-
-    q = sol.q
-    if q != NEVER:
-        q = rep.d_ab + rep.r_ab * sol.cap + sol.q
-
+    cost, q, arr_0, diam_b = summary
     arr = None
-    if sol.arr is not None:
-        arrival_at_b = sol.arr.evaluate(rep.c_b)
-        arr = PWL.linear(arrival_at_b + rep.d_ba, rep.r_ba, 0.0, c_max)
-
+    if arr_0 is not None:
+        arr = PWL.linear(arr_0, rep.r_ba, 0.0, c_max)
     diam = None
-    if sol.diam is not None:
-        diam = PWL.constant(sol.diam.evaluate(rep.c_b), 0.0, c_max)
-
+    if diam_b is not None:
+        diam = PWL.constant(diam_b, 0.0, c_max)
     return Solution(
-        cost=sol.cost + rep.cost,
+        cost=cost,
         cap=rep.c_a,
         q=q,
         arr=arr,
         diam=diam,
-        domain=full,
+        domain=IntervalSet.single(0.0, c_max),
         trace=sol.trace.extended(Placement(node, rep)),
         parity=sol.parity ^ (1 if rep.is_inverting else 0),
     )
+
+
+def buffered_summary(
+    sol: Solution, rep: Repeater
+) -> Optional[Tuple[float, float, Optional[float], Optional[float]]]:
+    """The scalars that tell :func:`apply_repeater`'s results apart.
+
+    Every solution buffered by ``rep`` has cap ``c_a``, domain ``[0,
+    c_max]`` and an ``arr`` slope of ``r_ba``, and its ``diam`` is
+    constant.  So it is fixed by ``(cost, q, arr(0), diam)``: ``arr(0)``
+    is the intercept ``arr(c_b) + d_ba``, and ``arr(0)``/``diam`` are
+    None where the solution has no source / no internal pair.  Returns
+    None exactly when :func:`apply_repeater` does.
+    """
+    if not sol.domain.contains(rep.c_b, atol=1e-12):
+        return None
+    q = sol.q
+    if q != NEVER:
+        q = rep.d_ab + rep.r_ab * sol.cap + sol.q
+    arr_0 = None
+    if sol.arr is not None:
+        arr_0 = sol.arr.evaluate(rep.c_b) + rep.d_ba
+    diam_b = None
+    if sol.diam is not None:
+        diam_b = sol.diam.evaluate(rep.c_b)
+    return sol.cost + rep.cost, q, arr_0, diam_b
 
 
 # -- RootSolutions (Fig. 9) -----------------------------------------------------------

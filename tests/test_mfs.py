@@ -167,6 +167,13 @@ class TestMFSSets:
         s = sol(arr=line(1, 1))
         assert mfs([s]) == [s]
 
+    @pytest.mark.parametrize("leaf_size", [0, -1])
+    def test_leaf_size_below_one_rejected(self, leaf_size):
+        # a leaf of 0 would split a one-element list into [] and itself
+        # forever; the call must fail fast instead of recursing
+        with pytest.raises(ValueError, match="leaf_size"):
+            mfs([sol(arr=line(1, 1))], leaf_size=leaf_size)
+
 
 def _random_solutions(rng, n):
     out = []

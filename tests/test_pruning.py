@@ -12,8 +12,10 @@ Three layers under test:
 
 from __future__ import annotations
 
+import math
 import os
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -21,31 +23,42 @@ from hypothesis import strategies as st
 from repro.check import contracts
 from repro.core.intervals import IntervalSet
 from repro.core.mfs import mfs
+from repro.core import msri
 from repro.core.msri import (
     MSRIOptions,
     MSRIStats,
+    _buffered_survivors,
     _enforce_segment_budget,
     insert_repeaters,
     validate_msri_overrides,
 )
+from repro.core.msri_engine import IncrementalMSRI
 from repro.core.prefilter import (
     LEQ_EMPTY,
     LEQ_FULL,
     LEQ_PARTIAL,
     domain_subset,
     leq_status,
+    line_leq_status,
     min_diam_lower_bound,
     prefilter_front,
 )
 from repro.core.pwl import PWL, Segment, max_segment_count
-from repro.core.solution import Solution
+from repro.core.solution import Solution, apply_repeater
 from repro.netgen.random_nets import random_net
 from repro.netgen.workloads import (
+    paper_driver_options,
     paper_instance,
+    paper_repeater_library,
     paper_technology,
     repeater_insertion_options,
 )
 from repro.obs import core as obs
+from repro.rctree.topology import NodeKind
+from repro.steiner import add_insertion_points
+from repro.tech import NEVER, Buffer, Repeater, RepeaterLibrary
+
+from .conftest import random_topology
 
 TECH = paper_technology()
 
@@ -110,6 +123,20 @@ class TestValidateOverrides:
     def test_out_of_range_values_rejected_by_options(self, knobs):
         with pytest.raises(ValueError):
             repeater_insertion_options(**validate_msri_overrides(knobs))
+
+    @pytest.mark.parametrize("leaf_size", [0, -3])
+    def test_options_reject_mfs_leaf_size_below_one(self, leaf_size):
+        # used to recurse until RecursionError inside the DP
+        with pytest.raises(ValueError, match="mfs_leaf_size"):
+            repeater_insertion_options(mfs_leaf_size=leaf_size)
+
+    def test_options_accept_mfs_leaf_size_one(self):
+        tree = paper_instance(0, 3)
+        one = insert_repeaters(
+            tree, TECH, repeater_insertion_options(mfs_leaf_size=1)
+        )
+        default = insert_repeaters(tree, TECH, repeater_insertion_options())
+        assert one.tradeoff() == default.tradeoff()
 
     def test_options_reject_lossy_without_cap(self):
         with pytest.raises(ValueError, match="lossy"):
@@ -184,6 +211,170 @@ def test_leq_status_single_segment_cases():
     left = line(0.0, 0.0, lo=0.0, hi=2.0)
     right = line(0.0, 0.0, lo=5.0, hi=8.0)
     assert leq_status(left, right) == LEQ_EMPTY
+
+
+# -- line_leq_status: the 1x1 block shared with the predictive stage ----------
+
+
+#: A buffered arr line has slope r_ba; with a steep slope and a wide
+#: domain, intercepts one ulp apart round to the same value at c_max.
+_STEEP, _WIDE = 1e6, 1e3
+_ONE_UP = math.nextafter(1.0, 2.0)
+
+
+def _ulps_apart(base, k):
+    out = base
+    for _ in range(abs(k)):
+        out = math.nextafter(out, math.inf if k > 0 else -math.inf)
+    return out
+
+
+@given(
+    a=st.floats(min_value=-1e3, max_value=1e3),
+    ulps=st.integers(min_value=-3, max_value=3),
+    far=st.floats(min_value=-1e3, max_value=1e3),
+    near=st.booleans(),
+    slope=st.sampled_from([0.0, 0.5, 37.0, _STEEP]),
+    c_max=st.sampled_from([1.0, 10.0, _WIDE]),
+)
+@settings(max_examples=300, deadline=None)
+def test_line_leq_status_equals_leq_status_on_built_lines(
+    a, ulps, far, near, slope, c_max
+):
+    """The helper classifies like leq_status on the PWLs apply_repeater builds.
+
+    Buffered arr lines are ``PWL.linear(arr_0, r_ba, 0, c_max)`` and
+    diam lines ``PWL.constant(diam_b, 0, c_max)``; intercepts a few ulps
+    apart cover the endpoint differences that straddle zero by rounding.
+    """
+    b = _ulps_apart(a, ulps) if near else far
+    for x, y in ((a, b), (b, a)):
+        built = leq_status(
+            PWL.linear(x, slope, 0.0, c_max), PWL.linear(y, slope, 0.0, c_max)
+        )
+        assert line_leq_status(0.0, c_max, x, slope, y, slope) == built
+        built = leq_status(
+            PWL.constant(x, 0.0, c_max), PWL.constant(y, 0.0, c_max)
+        )
+        assert line_leq_status(0.0, c_max, x, 0.0, y, 0.0) == built
+
+
+def test_line_leq_status_midpoint_branch():
+    # one ulp above at x = 0, equal after rounding at c_max: the endpoint
+    # differences are (+ulp, 0), so the midpoint decides, as in leq_status
+    assert _ONE_UP > 1.0
+    assert 1.0 + _STEEP * _WIDE == _ONE_UP + _STEEP * _WIDE
+    hi = PWL.linear(_ONE_UP, _STEEP, 0.0, _WIDE)
+    lo = PWL.linear(1.0, _STEEP, 0.0, _WIDE)
+    for f, g in ((hi, lo), (lo, hi), (hi, hi)):
+        (_, _, fi, fs), = f.segments
+        (_, _, gi, gs), = g.segments
+        assert line_leq_status(0.0, _WIDE, fi, fs, gi, gs) == leq_status(f, g)
+
+
+# -- the predictive repeater stage --------------------------------------------
+
+
+def _certificate_by_construction(parents, rep, c_max):
+    """Reference for _buffered_survivors: build every candidate, then sweep.
+
+    The built candidates are swept in the MFS order (uid = parent order)
+    and each is tested against *every* earlier survivor with
+    prefilter_front's full certificate, computed by leq_status and
+    domain_subset on the built solutions.
+    """
+    built = []
+    for i, p in enumerate(parents):
+        b = apply_repeater(p, rep, 0, c_max)
+        if b is not None:
+            built.append((b, i))
+    built.sort(key=lambda bi: (bi[0].parity, bi[0].cost, bi[0].cap, bi[0].q,
+                               bi[0].uid))
+    killers, survivors = [], []
+    for b, i in built:
+        if not any(
+            k.parity == b.parity and k.cost <= b.cost and k.cap <= b.cap
+            and k.q <= b.q and domain_subset(b.domain, k.domain)
+            and leq_status(k.arr, b.arr) == LEQ_FULL
+            and leq_status(k.diam, b.diam) == LEQ_FULL
+            for k in killers
+        ):
+            killers.append(b)
+            survivors.append(i)
+    return sorted(survivors), len(built)
+
+
+_STEEP_REP = Repeater("steep", d_ab=1.0, r_ab=2.0, c_a=0.5, d_ba=0.0,
+                      r_ba=_STEEP, c_b=0.25, cost=2.0)
+_INV_REP = Repeater("inv", d_ab=1.0, r_ab=2.0, c_a=0.5, d_ba=1.0,
+                    r_ba=0.5, c_b=0.25, cost=1.0, is_inverting=True)
+
+
+@st.composite
+def parent_sets(draw):
+    grid = st.sampled_from([0.0, 1.0, 2.0])
+    # intercepts one ulp apart: equal after adding r_ba * c_max
+    level = st.sampled_from([1.0, _ONE_UP, 2.0])
+    arr = st.one_of(st.none(), st.tuples(level, st.sampled_from([0.0, 1.0])))
+    diam = st.one_of(st.none(), level)
+    dom = st.sampled_from([
+        IntervalSet.single(0.0, _WIDE),
+        IntervalSet.from_pairs([(0.0, 0.1), (0.5, _WIDE)]),  # c_b in the hole
+    ])
+    out = []
+    for _ in range(draw(st.integers(min_value=1, max_value=10))):
+        d = draw(dom)
+        a = draw(arr)
+        dm = draw(diam)
+        out.append(Solution(
+            cost=draw(grid),
+            cap=draw(grid),
+            q=draw(st.sampled_from([NEVER, 0.0, 1.0])),
+            arr=None if a is None else PWL.linear(*a, 0.0, _WIDE).restrict(d),
+            diam=None if dm is None else PWL.constant(dm, 0.0, _WIDE).restrict(d),
+            domain=d,
+            parity=draw(st.sampled_from([0, 1])),
+        ))
+    return out
+
+
+@given(parent_sets(), st.sampled_from([_STEEP_REP, _INV_REP]))
+@settings(max_examples=200, deadline=None)
+def test_buffered_survivors_match_the_built_certificate(parents, rep):
+    """Deciding from four scalars == deciding on the built candidates."""
+    assert _buffered_survivors(parents, rep, _WIDE) == (
+        _certificate_by_construction(parents, rep, _WIDE)
+    )
+
+
+def test_buffered_survivors_follow_the_midpoint_rule():
+    # the cheaper sibling's arr intercept is one ulp higher, but the two
+    # buffered lines round equal at c_max: leq_status calls that FULL (the
+    # midpoint decides), so the dearer sibling is dropped, not kept
+    dom = IntervalSet.single(0.0, _WIDE)
+    parents = [
+        Solution(cost=0.0, cap=1.0, q=0.0, arr=PWL.constant(_ONE_UP, 0.0, _WIDE),
+                 diam=None, domain=dom),
+        Solution(cost=1.0, cap=1.0, q=0.0, arr=PWL.constant(1.0, 0.0, _WIDE),
+                 diam=None, domain=dom),
+    ]
+    assert _certificate_by_construction(parents, _STEEP_REP, _WIDE) == ([0], 2)
+    assert _buffered_survivors(parents, _STEEP_REP, _WIDE) == ([0], 2)
+
+
+def test_buffered_survivors_handle_none_and_never():
+    never = dict(cap=1.0, domain=IntervalSet.single(0.0, _WIDE))
+    parents = [
+        Solution(cost=0.0, q=NEVER, arr=line(1.0, 0.0, hi=_WIDE),
+                 diam=PWL.constant(1.0, 0.0, _WIDE), **never),
+        # no source, no pair, no sink: -inf is never above a finite line,
+        # so the earlier sibling cannot drop it
+        Solution(cost=0.0, q=NEVER, arr=None, diam=None, **never),
+        # the same at a higher cost: dropped by the second
+        Solution(cost=1.0, q=NEVER, arr=None, diam=None, **never),
+    ]
+    assert _buffered_survivors(parents, _STEEP_REP, _WIDE) == ([0, 1], 3)
+    assert _certificate_by_construction(parents, _STEEP_REP, _WIDE) == ([0, 1], 3)
 
 
 # -- domain_subset -------------------------------------------------------------
@@ -309,6 +500,132 @@ def test_exact_mode_is_bit_identical(seed, pins):
         == baseline.stats.solutions_after_pruning
     )
     assert fast.stats.max_set_size == baseline.stats.max_set_size
+
+
+# -- the predictive repeater stage, end to end ---------------------------------
+
+
+_INV_1X = Buffer("inv1x", intrinsic_delay=30.0, output_resistance=400.0,
+                 input_capacitance=0.05, cost=0.5, is_inverting=True)
+_BUF_2X = Buffer("buf2x", intrinsic_delay=50.0, output_resistance=200.0,
+                 input_capacitance=0.1, cost=2.0)
+_BUF_1X = Buffer("buf1x", intrinsic_delay=50.0, output_resistance=400.0,
+                 input_capacitance=0.05, cost=1.0)
+
+#: The four libraries the stage must be exact on: each entry builds the
+#: MSRIOptions for a given ``prefilter`` setting.
+_STAGE_LIBRARIES = {
+    "1x-pair": lambda prefilter: repeater_insertion_options(prefilter=prefilter),
+    "inverting-pair": lambda prefilter: MSRIOptions(
+        library=RepeaterLibrary([Repeater.from_buffer_pair(_INV_1X)]),
+        prefilter=prefilter,
+    ),
+    # an inverter and an asymmetric pair: three oriented options
+    "mixed": lambda prefilter: MSRIOptions(
+        library=RepeaterLibrary([
+            Repeater.from_buffer_pair(_INV_1X),
+            Repeater.from_buffer_pair(_BUF_2X, _BUF_1X, name="asym"),
+        ]),
+        prefilter=prefilter,
+    ),
+    "with-driver-sizing": lambda prefilter: MSRIOptions(
+        library=paper_repeater_library(),
+        driver_options=paper_driver_options((1.0, 2.0)),
+        prefilter=prefilter,
+    ),
+}
+
+
+def test_mixed_library_offers_several_oriented_options():
+    library = _STAGE_LIBRARIES["mixed"](True).library
+    assert len(library.oriented_options()) == 3
+
+
+def _stage_net(seed):
+    rng = np.random.default_rng(seed)
+    # pure sources and pure sinks give q == NEVER and arr of None
+    bare = random_topology(
+        rng, n_terminals=int(rng.integers(3, 5)), p_insertion=0.0, grid=6000.0
+    )
+    return add_insertion_points(bare, spacing=2500.0)
+
+
+def _fronts(tree, options):
+    engine = IncrementalMSRI(tree, TECH, options)
+    result = engine.solve()
+    return result, engine._fronts
+
+
+@pytest.mark.parametrize("library", sorted(_STAGE_LIBRARIES))
+@pytest.mark.parametrize("seed", range(4))
+def test_predictive_stage_fronts_match_full_build(library, seed):
+    """At every insertion node, the front equals the full-build front.
+
+    The full build is ``prefilter=False``: every buffered candidate built,
+    the pure Fig. 4 pruner.  The stage runs twice: with contracts, where
+    each insertion node's front is also checked against the prescreen-free
+    MFS of its complete candidate set, and without, where only survivors
+    are built.
+    """
+    tree = _stage_net(seed)
+    make = _STAGE_LIBRARIES[library]
+    full, full_fronts = _fronts(tree, make(False))
+    with contracts.checking(True):
+        checked, _ = _fronts(tree, make(True))
+    with contracts.checking(False):
+        fast, fast_fronts = _fronts(tree, make(True))
+    sites = [
+        v for v in full_fronts
+        if tree.node(v).kind is NodeKind.INSERTION
+    ]
+    assert sites
+    for v in sites:
+        contracts.verify_front_values(
+            fast_fronts[v], full_fronts[v], context=f"{library} node {v}"
+        )
+    for res in (checked, fast):
+        assert res.tradeoff() == full.tradeoff()
+        assert res.stats.solutions_generated == full.stats.solutions_generated
+        assert res.stats.set_sizes == full.stats.set_sizes
+
+
+def test_predictive_stage_builds_fewer_candidates(small_net, monkeypatch):
+    """Fewer apply_repeater calls than Fig. 5 buffered candidates.
+
+    The difference is counted as prefilter drops: ``dropped`` is exactly
+    the unbuilt candidates plus what the sorted-front sweep drops.
+    """
+    built = []
+    swept = []
+
+    def counting_apply(*args):
+        out = apply_repeater(*args)
+        built.append(out is not None)
+        return out
+
+    def counting_sweep(raw, **kwargs):
+        out = prefilter_front(raw, **kwargs)
+        swept.append(len(raw) - len(out))
+        return out
+
+    monkeypatch.setattr(msri, "apply_repeater", counting_apply)
+    monkeypatch.setattr(msri, "prefilter_front", counting_sweep)
+    with contracts.checking(False):
+        full = insert_repeaters(
+            small_net, TECH, repeater_insertion_options(prefilter=False)
+        )
+        fig5 = sum(built)
+        built.clear()
+        with obs.observing():
+            fast = insert_repeaters(small_net, TECH, repeater_insertion_options())
+            snap = obs.snapshot(reset=True)
+    assert all(built)  # survivors only: every call builds a candidate
+    assert len(built) < fig5
+    counters = snap["counters"]
+    assert counters["msri.prefilter.examined"] == fast.stats.solutions_generated
+    assert counters["msri.prefilter.dropped"] == (fig5 - len(built)) + sum(swept)
+    assert fast.stats.solutions_generated == full.stats.solutions_generated
+    assert fast.tradeoff() == full.tradeoff()
 
 
 # -- the caps ------------------------------------------------------------------
