@@ -112,7 +112,9 @@ def _merge_ordered(items: Sequence[Interval], atol: float):
     """Merge runs of ``(lo, hi)``-ordered intervals that overlap or touch.
 
     Returns None as soon as an interval is out of order.  A run keeps its
-    first interval object until a later member extends its ``hi``.
+    first interval object until a later member extends its ``hi``.  Tied
+    zero endpoints resolve by sign, not by input order: ``-0.0`` wins
+    ``lo`` and ``0.0`` wins ``hi``, the run's sign-aware min and max.
     """
     merged: List[Interval] = []
     it = iter(items)
@@ -124,8 +126,17 @@ def _merge_ordered(items: Sequence[Interval], atol: float):
         prev = iv
         lo, hi = iv
         if lo <= cur_hi + atol:
-            if hi > cur_hi:
+            if hi > cur_hi or (
+                hi == cur_hi == 0.0  # repro: noqa[R001] signed-zero tie
+                and math.copysign(1.0, cur_hi) < math.copysign(1.0, hi)
+            ):
                 cur_hi = hi
+                cur = None
+            if (
+                lo == cur_lo == 0.0  # repro: noqa[R001] signed-zero tie
+                and math.copysign(1.0, lo) < math.copysign(1.0, cur_lo)
+            ):
+                cur_lo = lo
                 cur = None
         else:
             merged.append(cur if cur is not None else _raw(Interval, (cur_lo, cur_hi)))

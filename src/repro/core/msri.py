@@ -80,6 +80,7 @@ _OBS_KEPT = obs.Counter("msri.solutions.kept")
 _OBS_PRUNED = obs.Counter("msri.solutions.pruned")
 _OBS_FRONT_WIDTH = obs.Histogram("msri.front_width")
 _OBS_PWL_SEGMENTS = obs.Histogram("msri.pwl_segments")
+_OBS_NODES_REUSED = obs.Counter("msri.engine.nodes_reused")
 _OBS_PREFILTER_EXAMINED = obs.Counter("msri.prefilter.examined")
 _OBS_PREFILTER_DROPPED = obs.Counter("msri.prefilter.dropped")
 _OBS_CAP_SPEC_DROPPED = obs.Counter("msri.cap.spec_dropped")
@@ -193,7 +194,6 @@ class MSRIOptions:
     wire_library: Optional[Sequence[object]] = None
     use_divide_and_conquer: bool = True
     mfs_leaf_size: int = 8
-    collect_stats: bool = True
     prefilter: bool = True
     max_front_width: Optional[int] = None
     max_pwl_segments: Optional[int] = None
@@ -258,7 +258,7 @@ class MSRIStats:
         """Fold one node's prune into the totals; return its count record.
 
         The returned dict is the *single source* of the per-node counts:
-        ``insert_repeaters`` feeds it verbatim to the conservation
+        the DP driver feeds it verbatim to the conservation
         contract and to the ``msri.node`` observability point, so the
         stats totals and the obs labels cannot diverge.
         """
@@ -357,27 +357,86 @@ def insert_repeaters(
     companion-capacitance model is rejected — the DP derives the assignment
     itself and prices repeaters under the paper's Fig. 8 model.
     """
-    widths = _context_widths(tree, context)
+    result, _ = _solve(tree, tech, options, _context_widths(tree, context))
+    return result
+
+
+def _solve(
+    tree: RoutingTree,
+    tech: Technology,
+    options: MSRIOptions,
+    widths: Dict[int, float],
+    *,
+    fronts: Optional[Dict[int, List[Solution]]] = None,
+    fronts_bound: Optional[float] = None,
+    cache=None,
+) -> Tuple[MSRIResult, float]:
+    """The one bottom-up MSRI fold (Fig. 5) behind every entry point.
+
+    ``fronts`` supplies per-vertex fronts an earlier solve computed under
+    the domain bound ``fronts_bound``; a moved bound flushes them, since
+    every front embeds it.  The dict keeps every front this solve
+    computes; without it, consumed child fronts are freed.  An exact-mode
+    ``cache`` (a :class:`~repro.core.msri_cache.MSRICache`) is looked up,
+    and filled, at :func:`_cache_site` vertices.  The top-down walk stops
+    at supplied fronts and cache hits, so only the vertices below neither
+    are computed.  Returns the result and ``c_max``.
+    """
     t0 = time.perf_counter()  # repro: noqa[R009] wall-clock feeds stats only, never the result
     stats = MSRIStats()
     c_max = _domain_bound(tree, tech, options, widths)
     prune = _make_pruner(options)
     checking = contracts.contracts_enabled()
     observing = obs.enabled()  # hoisted: the per-node loop stays obs-free when off
+    keep = fronts is not None
+    sets: Dict[int, List[Solution]] = fronts if keep else {}
+    if sets and c_max != fronts_bound:  # repro: noqa[R001] bound change detection must be exact — fronts embed these bits
+        sets.clear()
+    if options.lossy:
+        # lossy thinning is an approximation regime; the cross-tree cache
+        # stays exact-mode only (docs/ALGORITHMS.md §13)
+        cache = None
+    if cache is not None:
+        # msri_cache imports this module, so its helpers load lazily
+        from .msri_cache import (
+            front_key,
+            options_fingerprint,
+            pack_front,
+            subtree_signatures,
+            unpack_front,
+        )
 
-    root = tree.root
-    sets: Dict[int, List[Solution]] = {}
+        sigs = subtree_signatures(tree, widths)
+        fingerprint = options_fingerprint(tech, options)
+    sizes = _subtree_sizes(tree) if sets or cache is not None else None
+
     with obs.trace("msri.run", nodes=len(tree)) as span:
-        for v in tree.dfs_postorder():
-            if v == root:
+        # top-down walk; children are pushed in order, so the reversed
+        # walk is the children-before-parent order of dfs_postorder
+        order: List[int] = []
+        stack = list(tree.children(tree.root))
+        while stack:
+            v = stack.pop()
+            if v in sets:
+                stats.record_reused(v, len(sets[v]), sizes[v], from_cache=False)
                 continue
+            if cache is not None and _cache_site(tree, v):
+                records = cache.get(front_key(sigs[v], fingerprint, c_max))
+                if records is not None:
+                    sets[v] = unpack_front(tree, v, records)
+                    stats.record_reused(v, len(records), sizes[v], from_cache=True)
+                    continue
+            order.append(v)
+            stack.extend(tree.children(v))
+
+        for v in reversed(order):
             with obs.trace("msri.prune", node=v) if observing else obs.NULL_SPAN:
-                generated, pruned = _node_front(
+                generated, front = _node_front(
                     tree, tech, v, sets, c_max, prune, options, widths
                 )
             # one count record drives the contract, the stats totals and
             # the obs point — the three views cannot diverge
-            counts = stats.record(v, generated, pruned)
+            counts = stats.record(v, generated, front)
             if checking:
                 contracts.verify_msri_node_conservation(
                     counts["node"], counts["generated"], counts["kept"]
@@ -385,9 +444,15 @@ def insert_repeaters(
             if observing:
                 obs.point("msri.node", **counts)
                 _OBS_FRONT_WIDTH.observe(counts["kept"])
-            sets[v] = pruned
-            for u in tree.children(v):
-                del sets[u]  # children fully consumed; free memory
+            sets[v] = front
+            if not keep:
+                for u in tree.children(v):
+                    del sets[u]  # children fully consumed; free memory
+            if cache is not None and _cache_site(tree, v):
+                cache.put(
+                    front_key(sigs[v], fingerprint, c_max),
+                    pack_front(tree, v, front),
+                )
 
         roots = _root_set(tree, tech, sets, c_max, options, widths)
         if observing:
@@ -397,15 +462,42 @@ def insert_repeaters(
             _OBS_PRUNED.add(
                 stats.solutions_generated - stats.solutions_after_pruning
             )
+            if stats.nodes_reused:
+                _OBS_NODES_REUSED.add(stats.nodes_reused)
             _OBS_PWL_SEGMENTS.observe(stats.max_segments)
             span.set(
                 nodes=stats.nodes_processed,
                 generated=stats.solutions_generated,
                 kept=stats.solutions_after_pruning,
                 front=stats.max_set_size,
+                compute=len(order),
+                reused=stats.nodes_reused,
+                cache_hits=stats.cache_hits,
             )
     stats.runtime_seconds = time.perf_counter() - t0  # repro: noqa[R009] stats only
-    return MSRIResult(solutions=tuple(roots), stats=stats, tree=tree)
+    return MSRIResult(solutions=tuple(roots), stats=stats, tree=tree), c_max
+
+
+def _subtree_sizes(tree: RoutingTree) -> List[int]:
+    sizes = [1] * len(tree)
+    for v in tree.dfs_postorder():
+        for u in tree.children(v):
+            sizes[v] += sizes[u]
+    return sizes
+
+
+def _cache_site(tree: RoutingTree, v: int) -> bool:
+    """Whether ``v``'s front is worth caching/looking up.
+
+    Branch points and the root's child gate whole subtrees, so a hit
+    there skips the most work; insertion-chain and leaf fronts are
+    cheap to recompute relative to the cost of packing their traces,
+    so they are neither stored nor looked up (keeping hit/miss
+    counters meaningful).
+    """
+    if tree.node(v).kind is NodeKind.STEINER:
+        return True
+    return tree.parent(v) == tree.root
 
 
 # -- per-kind solution set construction ------------------------------------------
@@ -425,10 +517,8 @@ def _node_front(
 
     Returns ``(generated, front)``; ``generated`` also counts the
     buffered candidates the insertion stage certified dominated without
-    building them, so ``generated == kept + pruned`` per node.  Shared by
-    :func:`insert_repeaters` and the incremental/parallel paths in
-    :mod:`repro.core.msri_engine`, so every solver runs the exact same
-    arithmetic per node, and prunes each vertex exactly once.
+    building them, so ``generated == kept + pruned`` per node.  Each
+    vertex is pruned exactly once.
     """
     node = tree.node(v)
     if node.kind is NodeKind.TERMINAL:

@@ -109,7 +109,6 @@ def synthesize_topology(
     objective: str = "ard",
     msri_options=None,
     msri_cache=None,
-    msri_workers: int = 0,
 ) -> SynthesisResult:
     """Search terminal spanning trees for low ARD (plus optional WL term).
 
@@ -135,8 +134,7 @@ def synthesize_topology(
     :class:`~repro.core.msri_cache.MSRICache`; one is created per search
     when omitted).  ``msri_options.quantize_bound=True`` is what makes
     cross-candidate hits possible — without it every candidate's ``c_max``
-    differs and the cache only helps on exact re-scores.  ``msri_workers``
-    forwards to the engine's parallel subtree solver.
+    differs and the cache only helps on exact re-scores.
 
     Candidate scorings are memoized on the canonical edge set, so the same
     reconnection pair reappearing across edge-scan rounds is never
@@ -169,8 +167,7 @@ def synthesize_topology(
 
         def evaluate(tree: RoutingTree) -> float:
             result = insert_repeaters_cached(
-                tree, tech, msri_options, cache=msri_cache,
-                workers=msri_workers,
+                tree, tech, msri_options, cache=msri_cache
             )
             return result.min_ard().ard
     else:

@@ -243,14 +243,24 @@ def test_shift_preserves_measure(a, delta):
 # the plain algorithm below, compared through ``float.hex``.
 
 
+def _signed(x):
+    """Order key telling ``-0.0`` below ``0.0``."""
+    return (x, math.copysign(1.0, x))
+
+
 def _ref_coalesce(intervals, atol=ATOL):
-    """Stable sort by ``(lo, hi)``, then merge overlapping/touching runs."""
+    """Stable sort by ``(lo, hi)``, then merge overlapping/touching runs.
+
+    A run's ``lo``/``hi`` are its members' sign-aware min/max, so tied
+    zero endpoints do not depend on input order.
+    """
     merged = []
     for iv in sorted(intervals, key=lambda iv: (iv.lo, iv.hi)):
         if merged and iv.lo <= merged[-1].hi + atol:
             last = merged[-1]
-            if iv.hi > last.hi:
-                merged[-1] = Interval(last.lo, iv.hi)
+            merged[-1] = Interval(
+                min(last.lo, iv.lo, key=_signed), max(last.hi, iv.hi, key=_signed)
+            )
         else:
             merged.append(iv)
     return tuple(merged)
@@ -304,6 +314,19 @@ def test_construction_ignores_input_order(ivs, rnd):
     assert _bits(IntervalSet(ivs).intervals) == expected
     assert _bits(IntervalSet(shuffled).intervals) == expected
     assert all(type(iv) is Interval for iv in IntervalSet(shuffled))
+
+
+@pytest.mark.parametrize("zero_first", [False, True])
+def test_tied_zero_endpoints_pick_by_sign(zero_first):
+    """``[[-0, 0], [0, 0], [0, 0]]`` in either order: ``lo`` is ``-0.0``."""
+    ivs = [Interval(-0.0, 0.0), Interval(0.0, 0.0), Interval(0.0, 0.0)]
+    if zero_first:
+        ivs.reverse()
+    assert _bits(IntervalSet(ivs).intervals) == [("-0x0.0p+0", "0x0.0p+0")]
+    ends = [Interval(-1.0, -0.0), Interval(-1.0, 0.0)]
+    if zero_first:
+        ends.reverse()
+    assert _bits(IntervalSet(ends).intervals) == [((-1.0).hex(), "0x0.0p+0")]
 
 
 @given(interval_lists(), interval_lists(), finite, finite,

@@ -1,7 +1,7 @@
-"""Tests for memoized/incremental/parallel MSRI (docs/ALGORITHMS.md §13).
+"""Tests for memoized/incremental MSRI (docs/ALGORITHMS.md §13).
 
-The decisive check is differential: every cached, incrementally re-solved,
-or parallel-solved result must be **bit-identical** to a cold
+The decisive check is differential: every cached or incrementally
+re-solved result must be **bit-identical** to a cold
 :func:`repro.core.msri.insert_repeaters` run — root (cost, ARD) suites,
 chosen assignments, and per-node fronts — with the REPRO_CHECK contracts
 active so the engine's own differential verification runs as well.
@@ -23,6 +23,8 @@ from repro.core.msri_cache import (
     unpack_front,
 )
 from repro.core.msri_engine import IncrementalMSRI, insert_repeaters_cached
+from repro.netgen.workloads import paper_instance, repeater_insertion_options
+from repro.obs import core as obs
 from repro.rctree import EvalContext
 from repro.tech import Buffer, Repeater, RepeaterLibrary, Technology
 
@@ -320,8 +322,6 @@ class TestIncrementalEdits:
             eng.set_wire_width(child, 0.0)
         with pytest.raises(ValueError):
             eng.set_edge_length(child, -1.0)
-        with pytest.raises(ValueError):
-            IncrementalMSRI(t, TECH, OPTS, workers=-1)
 
     def test_solve_tree_switches_nets(self):
         t1 = random_topology(np.random.default_rng(8), n_terminals=5)
@@ -383,21 +383,68 @@ class TestCacheSemantics:
         assert warm.stats.max_set_size >= 1  # reused widths still reported
 
 
-class TestParallelSolving:
-    def test_workers_bit_identical(self):
-        rng = np.random.default_rng(13)
-        t = random_topology(rng, n_terminals=14, p_insertion=1.0)
-        cold = insert_repeaters(t, TECH, OPTS)
-        par = IncrementalMSRI(t, TECH, OPTS, workers=2).solve()
-        assert_identical(par, cold)
-        # merged stats conserve the cold totals exactly
-        assert par.stats.solutions_generated == cold.stats.solutions_generated
-        assert par.stats.solutions_after_pruning == (
-            cold.stats.solutions_after_pruning
-        )
-        assert par.stats.nodes_processed == cold.stats.nodes_processed
+def _dp_trace(solve):
+    """Run ``solve`` traced; return its result and its DP observations."""
+    obs.reset()
+    with obs.observing():
+        result = solve()
+        snap = obs.snapshot(reset=True)
+    points = [
+        (p["attrs"]["node"], p["attrs"]["generated"], p["attrs"]["kept"],
+         p["attrs"]["pruned"])
+        for p in snap["points"]
+        if p["name"] == "msri.node"
+    ]
+    counters = {
+        k: v for k, v in snap["counters"].items()
+        if k == "msri.nodes" or k.startswith("msri.solutions.")
+    }
+    width = snap["hists"].get("msri.front_width", [0, 0, 0, 0])[:2]
+    runs = [s["attrs"] for s in snap["spans"] if s["name"] == "msri.run"]
+    return result, points, counters, width, runs
 
-    def test_small_net_stays_serial(self):
-        t = y_net()
-        r = IncrementalMSRI(t, TECH, OPTS, workers=2).solve()
-        assert_identical(r, insert_repeaters(t, TECH, OPTS))
+
+class TestOneDriver:
+    """Cold, cached and incremental solves run one DP loop and record alike."""
+
+    def test_entry_points_record_the_same_dp(self):
+        t = paper_instance(1, 5)
+        opts = repeater_insertion_options()
+        cold = _dp_trace(lambda: insert_repeaters(t, TECH, opts))
+        cached = _dp_trace(
+            lambda: insert_repeaters_cached(t, TECH, opts, cache=MSRICache())
+        )
+        engine = _dp_trace(lambda: IncrementalMSRI(t, TECH, opts).solve())
+        result, points, counters, width, runs = cold
+        assert len(points) == len(t) - 1
+        assert counters["msri.nodes"] == len(points) == width[0]
+        assert counters["msri.solutions.generated"] == (
+            counters["msri.solutions.kept"] + counters["msri.solutions.pruned"]
+        )
+        for other in (cached, engine):
+            assert_identical(other[0], result)
+            assert other[1:4] == (points, counters, width)
+            assert len(other[4]) == 1
+            assert other[4][0]["compute"] == len(points)
+            assert other[4][0]["reused"] == 0
+
+    def test_warm_resolve_computes_nothing(self):
+        t = paper_instance(1, 5)
+        opts = repeater_insertion_options()
+        cache = MSRICache()
+        insert_repeaters_cached(t, TECH, opts, cache=cache)
+        eng = IncrementalMSRI(t, TECH, opts)
+        eng.solve()
+        for solve in (
+            lambda: insert_repeaters_cached(t, TECH, opts, cache=cache),
+            eng.solve,
+        ):
+            # contracts off: their cold differential would be traced too
+            with contracts.checking(False):
+                result, points, counters, width, runs = _dp_trace(solve)
+            assert result.stats.nodes_processed == 0
+            assert result.stats.nodes_reused == len(t) - 1
+            assert points == [] and width[0] == 0
+            assert counters.get("msri.nodes", 0) == 0
+            (run,) = runs
+            assert run["compute"] == 0 and run["reused"] == len(t) - 1
