@@ -13,10 +13,10 @@ what :class:`repro.core.msri_cache.MSRICache` buys:
   shared :class:`~repro.core.msri_cache.MSRICache`; hits here are
   *cross-candidate* (sibling trees differing by one spanning edge share
   untouched subtrees; ``quantize_bound=True`` aligns their ``c_max``);
-* **warm** — second cached sweep; every tree's root-child front is
+* **warm** — second cached sweep; every tree's root suite is
   resident, so the DP re-derives nothing (``nodes computed = 0``) and
   the per-candidate cost collapses to signature hashing plus one
-  front unpack.
+  root-suite unpack.
 
 Every warm result is checked for value-identity (cost/ARD/assignment of
 the full root Pareto suite) against the cold run — the cache is a

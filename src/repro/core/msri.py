@@ -378,9 +378,10 @@ def _solve(
     every front embeds it.  The dict keeps every front this solve
     computes; without it, consumed child fronts are freed.  An exact-mode
     ``cache`` (a :class:`~repro.core.msri_cache.MSRICache`) is looked up,
-    and filled, at :func:`_cache_site` vertices.  The top-down walk stops
-    at supplied fronts and cache hits, so only the vertices below neither
-    are computed.  Returns the result and ``c_max``.
+    and filled, at the root — whose suite answers the whole solve — and
+    at :func:`_cache_site` vertices.  The top-down walk stops at supplied
+    fronts and cache hits, so only the vertices below neither are
+    computed.  Returns the result and ``c_max``.
     """
     t0 = time.perf_counter()  # repro: noqa[R009] wall-clock feeds stats only, never the result
     stats = MSRIStats()
@@ -402,19 +403,37 @@ def _solve(
             front_key,
             options_fingerprint,
             pack_front,
+            pack_root,
+            root_key,
             subtree_signatures,
             unpack_front,
+            unpack_root,
         )
 
         sigs = subtree_signatures(tree, widths)
         fingerprint = options_fingerprint(tech, options)
-    sizes = _subtree_sizes(tree) if sets or cache is not None else None
 
     with obs.trace("msri.run", nodes=len(tree)) as span:
+        record = None
+        if cache is not None:
+            suite_key = root_key(sigs[tree.root], fingerprint, c_max)
+            record = cache.get(suite_key)
+        if record is not None:
+            # the whole net's suite: no vertex, augment or root evaluation
+            # runs, and the stats are those of a root-child front hit.  Only
+            # a terminal-rooted net's suite is ever stored, so the root of a
+            # net with the same signature has exactly one child.
+            (child,) = tree.children(tree.root)
+            width, roots = unpack_root(tree, record)
+            stats.record_reused(child, width, len(tree) - 1, from_cache=True)
+
         # top-down walk; children are pushed in order, so the reversed
         # walk is the children-before-parent order of dfs_postorder
         order: List[int] = []
-        stack = list(tree.children(tree.root))
+        stack = [] if record is not None else list(tree.children(tree.root))
+        sizes = (
+            _subtree_sizes(tree) if stack and (sets or cache is not None) else None
+        )
         while stack:
             v = stack.pop()
             if v in sets:
@@ -454,7 +473,11 @@ def _solve(
                     pack_front(tree, v, front),
                 )
 
-        roots = _root_set(tree, tech, sets, c_max, options, widths)
+        if record is None:
+            roots = _root_set(tree, tech, sets, c_max, options, widths)
+            if cache is not None:
+                (child,) = tree.children(tree.root)
+                cache.put(suite_key, pack_root(tree, len(sets[child]), roots))
         if observing:
             _OBS_NODES.add(stats.nodes_processed)
             _OBS_GENERATED.add(stats.solutions_generated)
@@ -489,15 +512,13 @@ def _subtree_sizes(tree: RoutingTree) -> List[int]:
 def _cache_site(tree: RoutingTree, v: int) -> bool:
     """Whether ``v``'s front is worth caching/looking up.
 
-    Branch points and the root's child gate whole subtrees, so a hit
-    there skips the most work; insertion-chain and leaf fronts are
-    cheap to recompute relative to the cost of packing their traces,
-    so they are neither stored nor looked up (keeping hit/miss
-    counters meaningful).
+    Branch points gate whole subtrees, so a hit there skips the most
+    work, and the root suite, looked up before the walk, answers the
+    whole net; insertion-chain and leaf fronts are cheap to recompute
+    relative to the cost of packing their traces, so they are neither
+    stored nor looked up (keeping hit/miss counters meaningful).
     """
-    if tree.node(v).kind is NodeKind.STEINER:
-        return True
-    return tree.parent(v) == tree.root
+    return tree.node(v).kind is NodeKind.STEINER
 
 
 # -- per-kind solution set construction ------------------------------------------
@@ -767,24 +788,23 @@ def _root_set(
         raise RuntimeError("trees are rooted at a terminal")
     (child,) = tree.children(root)
 
+    # (terminal, extra cost, placement) per root driver; each option
+    # sizes the terminal once per solve, not once per candidate
+    if options.driver_options is None:
+        drivers = [(term, 0.0, None)]
+    else:
+        drivers = [
+            (opt.applied_to(term), opt.cost, Placement(root, opt))
+            for opt in options.driver_options
+        ]
     candidates: List[RootSolution] = []
     for a in _augment_over_edge(tree, tech, child, sets[child], c_max, options, widths):
-        if options.driver_options is None:
-            rs = evaluate_at_root(a, root, term)
+        for sized, cost, placement in drivers:
+            rs = evaluate_at_root(
+                a, root, sized, extra_cost=cost, trace_placement=placement
+            )
             if rs is not None:
                 candidates.append(rs)
-        else:
-            for opt in options.driver_options:
-                sized = opt.applied_to(term)
-                rs = evaluate_at_root(
-                    a,
-                    root,
-                    sized,
-                    extra_cost=opt.cost,
-                    trace_placement=Placement(root, opt),
-                )
-                if rs is not None:
-                    candidates.append(rs)
     return _pareto_root(candidates)
 
 

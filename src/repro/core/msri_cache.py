@@ -19,13 +19,16 @@ This module provides the three layers the cache needs:
   :func:`repro.rctree.flat.canonical_net_key`'s convention: floats enter as
   raw IEEE-754 bytes, names never enter (they never enter the arithmetic);
   :func:`options_fingerprint` digests the technology constants and every
-  optimizer knob; :func:`front_key` combines both with ``c_max``.
+  optimizer knob; :func:`front_key` combines both with ``c_max``, and
+  :func:`root_key` does the same for a whole net's root suite under its
+  own hash personalization.
 * **portable fronts** — :func:`pack_front` / :func:`unpack_front` convert a
   pruned front to and from a tree-independent record: scalars, domain
   interval pairs, PWL segment quadruples, and trace placements keyed by
   *position in the subtree preorder* rather than node index, so a front
   cached under one tree rebuilds with correctly remapped indices under any
-  tree with the same subtree signature.
+  tree with the same subtree signature.  :func:`pack_root` /
+  :func:`unpack_root` do the same for the root's ``(cost, ARD)`` suite.
 * **the LRU** — :class:`MSRICache`, modeled on
   :class:`~repro.rctree.flat.FlatNetCache`, with ``msri.cache.*`` obs
   counters exposing its economics.
@@ -50,15 +53,18 @@ from ..tech.parameters import Technology
 from .intervals import IntervalSet
 from .msri import MSRIOptions
 from .pwl import PWL
-from .solution import Placement, Solution, Trace
+from .solution import Placement, RootSolution, Solution, Trace
 
 __all__ = [
     "MSRICache",
     "options_fingerprint",
     "subtree_signatures",
     "front_key",
+    "root_key",
     "pack_front",
     "unpack_front",
+    "pack_root",
+    "unpack_root",
 ]
 
 # Observability metrics (naming contract: docs/OBSERVABILITY.md).  All are
@@ -78,6 +84,11 @@ _KIND_CODE = {NodeKind.TERMINAL: 0, NodeKind.STEINER: 1, NodeKind.INSERTION: 2}
 #: tuple of ``(preorder_position, what)`` pairs in the trace's collect()
 #: order.
 PackedSolution = Tuple
+
+#: A packed root suite: ``(width, ((cost, ard, placements), ...))`` with
+#: ``width`` the root child's front width and ``placements`` keyed by
+#: whole-tree preorder position, as in :data:`PackedSolution`.
+PackedRoot = Tuple
 
 
 def options_fingerprint(tech: Technology, options: MSRIOptions) -> bytes:
@@ -187,7 +198,23 @@ def front_key(signature: bytes, fingerprint: bytes, c_max: float) -> bytes:
     content; ``MSRIOptions.quantize_bound`` coarsens it so trees that
     differ slightly still share keys.
     """
-    h = hashlib.blake2b(digest_size=16)
+    return _key_digest(b"", signature, fingerprint, c_max)
+
+
+def root_key(signature: bytes, fingerprint: bytes, c_max: float) -> bytes:
+    """The cache key of a net's root suite, given the root's signature.
+
+    Hashed like :func:`front_key` but under its own blake2b
+    personalization, so root and front keys are separate hash domains:
+    a root record cannot answer a front lookup, nor the reverse.
+    """
+    return _key_digest(b"msri.root", signature, fingerprint, c_max)
+
+
+def _key_digest(
+    person: bytes, signature: bytes, fingerprint: bytes, c_max: float
+) -> bytes:
+    h = hashlib.blake2b(digest_size=16, person=person)
     h.update(signature)
     h.update(fingerprint)
     h.update(array("d", (c_max,)).tobytes())
@@ -208,6 +235,25 @@ def _subtree_preorder(tree: RoutingTree, v: int) -> List[int]:
     return out
 
 
+def _preorder_positions(tree: RoutingTree, v: int) -> Dict[int, int]:
+    return {node: i for i, node in enumerate(_subtree_preorder(tree, v))}
+
+
+def _pack_trace(positions: Dict[int, int], trace: Trace) -> Tuple:
+    """A trace's placements as ``(position, what)``, in collect() order."""
+    return tuple((positions[p.node], p.what) for p in trace.collect())
+
+
+def _unpack_trace(order: List[int], placements: Tuple) -> Trace:
+    """Rebuild a packed trace as a linear chain onto the nodes ``order``
+    lists; extending in reversed pack order makes the rebuilt trace's
+    ``collect()`` return the original order."""
+    trace = Trace()
+    for position, what in reversed(placements):
+        trace = trace.extended(Placement(order[position], what))
+    return trace
+
+
 def pack_front(
     tree: RoutingTree, v: int, front: List[Solution]
 ) -> Tuple[PackedSolution, ...]:
@@ -220,7 +266,7 @@ def pack_front(
     assignment dict resolves duplicate-node entries (a wire class and a
     repeater recorded against the same node) to the same winner.
     """
-    positions = {node: i for i, node in enumerate(_subtree_preorder(tree, v))}
+    positions = _preorder_positions(tree, v)
     records: List[PackedSolution] = []
     for s in front:
         records.append(
@@ -232,9 +278,7 @@ def pack_front(
                 s.domain.intervals,
                 None if s.arr is None else s.arr.segments,
                 None if s.diam is None else s.diam.segments,
-                tuple(
-                    (positions[p.node], p.what) for p in s.trace.collect()
-                ),
+                _pack_trace(positions, s.trace),
             )
         )
     return tuple(records)
@@ -256,9 +300,6 @@ def unpack_front(
     order = _subtree_preorder(tree, v)
     out: List[Solution] = []
     for cost, cap, q, parity, dom, arr, diam, placements in records:
-        trace = Trace()
-        for position, what in reversed(placements):
-            trace = trace.extended(Placement(order[position], what))
         out.append(
             Solution(
                 cost=cost,
@@ -267,24 +308,53 @@ def unpack_front(
                 arr=None if arr is None else PWL(arr),
                 diam=None if diam is None else PWL(diam),
                 domain=IntervalSet(dom),
-                trace=trace,
+                trace=_unpack_trace(order, placements),
                 parity=parity,
             )
         )
     return out
 
 
+def pack_root(
+    tree: RoutingTree, width: int, roots: List[RootSolution]
+) -> PackedRoot:
+    """Convert a root suite into a tree-independent record.
+
+    ``width`` is the root child's front width, kept so a hit reports the
+    same stats as a root-child front hit.  Placements are keyed by
+    whole-tree preorder position, as :func:`pack_front` keys them for the
+    subtree at the root.
+    """
+    positions = _preorder_positions(tree, tree.root)
+    return width, tuple(
+        (s.cost, s.ard, _pack_trace(positions, s.trace)) for s in roots
+    )
+
+
+def unpack_root(
+    tree: RoutingTree, record: PackedRoot
+) -> Tuple[int, List[RootSolution]]:
+    """Rebuild a packed root suite as ``(width, root solutions of tree)``."""
+    width, suite = record
+    order = _subtree_preorder(tree, tree.root)
+    return width, [
+        RootSolution(cost=cost, ard=ard, trace=_unpack_trace(order, placements))
+        for cost, ard, placements in suite
+    ]
+
+
 # -- the LRU -------------------------------------------------------------------
 
 
 class MSRICache:
-    """An LRU of packed subtree fronts keyed by content hash.
+    """An LRU of packed subtree fronts and root suites keyed by content hash.
 
     Shared across :class:`~repro.core.msri_engine.IncrementalMSRI`
     instances (topology search scoring hundreds of sibling candidates, a
     campaign worker sweeping spacings, the serve daemon's ``optimize`` op).
     Stored records are immutable; ``get`` returns them as-is and callers
-    rebuild live solutions via :func:`unpack_front`.  Thread-safe: the
+    rebuild live solutions via :func:`unpack_front` / :func:`unpack_root`.
+    Thread-safe: the
     serve daemon evaluates concurrent sessions on an asyncio thread pool,
     and the LRU reorder/evict sequence is not atomic on its own.
     """
@@ -306,7 +376,7 @@ class MSRICache:
         return len(self._store)
 
     def get(self, key: bytes) -> Optional[Tuple[PackedSolution, ...]]:
-        """The packed front for ``key``, or None (counted as a miss)."""
+        """The packed record for ``key``, or None (counted as a miss)."""
         with self._lock:
             records = self._store.get(key)
             if records is not None:
@@ -323,7 +393,7 @@ class MSRICache:
         return None
 
     def put(self, key: bytes, records: Tuple[PackedSolution, ...]) -> None:
-        """Store a packed front, evicting least-recently-used overflow."""
+        """Store a packed record, evicting least-recently-used overflow."""
         evicted = 0
         with self._lock:
             self._store[key] = records

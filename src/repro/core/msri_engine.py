@@ -11,7 +11,8 @@ layers:
 
 1. **Subtree-front memoization** — a content-hash keyed
    :class:`~repro.core.msri_cache.MSRICache` shared across engines; a hit
-   installs a stored front and skips the entire subtree below it.
+   installs a stored front and skips the entire subtree below it, and a
+   hit on the whole net's root suite skips the solve.
 2. **Dirty-path re-solve** — the engine retains every per-node front of its
    last solve; an edit (:meth:`set_terminal`, :meth:`set_edge_length`,
    :meth:`set_wire_width`) invalidates only the fronts on the root path

@@ -377,9 +377,10 @@ class TimingServer:
 
         Requests run through the manager-wide subtree-front cache
         (:class:`~repro.core.msri_cache.MSRICache`): a repeated optimize on
-        an unchanged net, or one that shares subtrees with an earlier
-        request, reuses stored fronts bit-identically; ``stats`` reports
-        ``cache_hits`` / ``nodes_reused`` alongside the DP counters.
+        an unchanged net is answered from its stored root suite, and one
+        that shares subtrees with an earlier request reuses stored fronts,
+        both bit-identically; ``stats`` reports ``cache_hits`` /
+        ``nodes_reused`` alongside the DP counters.
         """
         from ..core.msri_engine import insert_repeaters_cached
         from ..netgen.workloads import (
@@ -533,6 +534,7 @@ class TimingServer:
                 "misses": self.cache.misses,
                 "size": len(self.cache),
             },
+            "msri_cache": self.sessions.msri_cache.stats(),
             "draining": self._draining,
         }
 

@@ -7,25 +7,33 @@ chosen assignments, and per-node fronts — with the REPRO_CHECK contracts
 active so the engine's own differential verification runs as well.
 """
 
+import collections
 import dataclasses
 
 import numpy as np
 import pytest
 
 from repro.check import contracts
+from repro.core import msri
 from repro.core.msri import MSRIOptions, _domain_bound, insert_repeaters
 from repro.core.msri_cache import (
     MSRICache,
     front_key,
     options_fingerprint,
     pack_front,
+    root_key,
     subtree_signatures,
     unpack_front,
 )
 from repro.core.msri_engine import IncrementalMSRI, insert_repeaters_cached
-from repro.netgen.workloads import paper_instance, repeater_insertion_options
+from repro.netgen.workloads import (
+    driver_sizing_options,
+    paper_instance,
+    repeater_insertion_options,
+)
 from repro.obs import core as obs
 from repro.rctree import EvalContext
+from repro.rctree.topology import RoutingTree
 from repro.tech import Buffer, Repeater, RepeaterLibrary, Technology
 
 from .conftest import random_topology, two_pin_net, y_net
@@ -448,3 +456,301 @@ class TestOneDriver:
             assert counters.get("msri.nodes", 0) == 0
             (run,) = runs
             assert run["compute"] == 0 and run["reused"] == len(t) - 1
+
+
+def _with_terminal(tree, v, **changes):
+    """``tree`` with the parameters of terminal ``v`` replaced."""
+    nodes = list(tree.nodes)
+    nodes[v] = dataclasses.replace(
+        nodes[v], terminal=dataclasses.replace(nodes[v].terminal, **changes)
+    )
+    return RoutingTree(
+        nodes,
+        [tree.parent(i) for i in range(len(tree))],
+        [tree.edge_length(i) for i in range(len(tree))],
+    )
+
+
+def _driver_edited(tree):
+    """``tree`` with a weaker root driver (1.5x its output resistance).
+
+    Only the root's signature changes, and ``c_max`` (which reads pin
+    capacitances, not resistances) keeps its bits, so every stored
+    subtree front of ``tree`` stays valid for it.
+    """
+    term = tree.node(tree.root).terminal
+    return _with_terminal(tree, tree.root, resistance=term.resistance * 1.5)
+
+
+def _root_path(tree, v):
+    """``v`` and its ancestors."""
+    path = set()
+    while v is not None:
+        path.add(v)
+        v = tree.parent(v)
+    return path
+
+
+def _differential_nets(count):
+    """The randomized nets and options of the 200-net differential."""
+    for seed in range(count):
+        rng = np.random.default_rng(seed)
+        t = random_topology(
+            rng,
+            n_terminals=int(rng.integers(3, 6)),
+            p_insertion=float(rng.uniform(0.3, 1.0)),
+        )
+        opts = (
+            MSRIOptions(library=LIB, quantize_bound=bool(seed % 2))
+            if seed % 3
+            else MSRIOptions(library=MULTI_LIB)
+        )
+        yield t, opts
+
+
+class TestFrontHitsFeedTheDP:
+    """Stored subtree fronts answer a *different* net's solve.
+
+    A repeated solve is answered by its root suite alone.  These nets
+    differ from the primed one in their root driver or in one sink, so
+    the root suite misses and stored branch-point fronts are unpacked
+    into the fold: joined, augmented over the wires above them and
+    evaluated at the root.  REPRO_CHECK is on, so every solve that
+    reuses a front is also re-run cold by the engine's own contract.
+    """
+
+    def test_200_net_driver_edit_identity(self):
+        cache = MSRICache(maxsize=16384)
+        computed_above_hit = collections.Counter()
+        with contracts.checking():
+            for t, opts in _differential_nets(200):
+                edited = _driver_edited(t)
+                insert_repeaters_cached(t, TECH, opts, cache=cache)  # prime
+                warm = insert_repeaters_cached(edited, TECH, opts, cache=cache)
+                cold = insert_repeaters(edited, TECH, opts)
+                assert_identical(warm, cold)
+                assert warm.stats.cache_hits >= 1
+                assert warm.stats.nodes_processed < cold.stats.nodes_processed
+                computed_above_hit[warm.stats.nodes_processed > 0] += 1
+        # both shapes occur: a branch-point root child whose unpacked
+        # front alone feeds the root, and an insertion chain computed
+        # from an unpacked front below it
+        assert computed_above_hit[False] and computed_above_hit[True]
+
+    def test_200_net_sink_edit_identity(self):
+        cache = MSRICache(maxsize=16384)
+        fed = 0
+        with contracts.checking():
+            for t, opts in _differential_nets(200):
+                # the sink nearest the root leaves the most subtrees clean
+                sink = min(
+                    (v for v in t.terminal_indices() if v != t.root),
+                    key=lambda v: len(_root_path(t, v)),
+                )
+                term = t.node(sink).terminal
+                edited = _with_terminal(
+                    t, sink, resistance=term.resistance * 1.5
+                )
+                insert_repeaters_cached(t, TECH, opts, cache=cache)  # prime
+                warm = insert_repeaters_cached(edited, TECH, opts, cache=cache)
+                assert_identical(warm, insert_repeaters(edited, TECH, opts))
+                assert warm.stats.nodes_processed > 0  # the sink's root path
+                # the walk down the dirty path reaches every clean branch
+                # point, so some front is unpacked exactly when one exists
+                path = _root_path(t, sink)
+                clean = [v for v in t.steiner_indices() if v not in path]
+                assert (warm.stats.cache_hits >= 1) == bool(clean)
+                fed += bool(clean)
+        assert fed >= 50
+
+    def test_installed_fronts_equal_cold_per_node(self):
+        """Cold vs cache-fed engines agree front by front, not just at root."""
+        t = random_topology(np.random.default_rng(7), n_terminals=6)
+        cache = MSRICache()
+        with contracts.checking():
+            a = IncrementalMSRI(t, TECH, OPTS, cache=cache)
+            a.solve()
+            b = IncrementalMSRI(_driver_edited(t), TECH, OPTS, cache=cache)
+            r = b.solve()
+            assert r.stats.cache_hits >= 1
+            # every front b holds was computed or unpacked by this solve
+            assert len(b._fronts) == r.stats.nodes_processed + r.stats.cache_hits
+            for v, front in b._fronts.items():
+                contracts.verify_front_values(
+                    front, a._fronts[v], context=f"node {v}"
+                )
+
+    def test_solve_tree_switches_to_a_net_sharing_subtrees(self):
+        t = random_topology(np.random.default_rng(8), n_terminals=5)
+        edited = _driver_edited(t)
+        cache = MSRICache()
+        with contracts.checking():
+            eng = IncrementalMSRI(t, TECH, OPTS, cache=cache)
+            full = eng.solve().stats.nodes_processed
+            shared = eng.solve_tree(edited)
+            assert shared.stats.cache_hits >= 1
+            assert shared.stats.nodes_processed < full
+            assert_identical(shared, insert_repeaters(edited, TECH, OPTS))
+            back = eng.solve_tree(t)  # the first net's root suite answers
+            assert back.stats.cache_hits == 1
+            assert back.stats.nodes_processed == 0
+            assert_identical(back, insert_repeaters(t, TECH, OPTS))
+
+
+def _renumbered(tree):
+    """The same net numbered in preorder, plus the old -> new index map.
+
+    Preorder keeps every vertex's children in their original relative
+    order, so every subtree signature is unchanged.
+    """
+    order = list(tree.dfs_preorder())
+    new = {v: i for i, v in enumerate(order)}
+    nodes = [dataclasses.replace(tree.node(v), index=i) for i, v in enumerate(order)]
+    parents = [None if tree.parent(v) is None else new[tree.parent(v)] for v in order]
+    return RoutingTree(nodes, parents, [tree.edge_length(v) for v in order]), new
+
+
+def _count_root_set(monkeypatch):
+    """Count calls to the DP's root evaluation."""
+    calls = []
+    original = msri._root_set
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(msri, "_root_set", counted)
+    return calls
+
+
+OPTION_SETS = [repeater_insertion_options, driver_sizing_options]
+
+
+class TestRootSuiteCache:
+    """The root suite is one more cache site: a repeat solve is one lookup."""
+
+    @pytest.mark.parametrize("make_options", OPTION_SETS)
+    def test_repeat_solve_is_one_root_lookup(self, monkeypatch, make_options):
+        t = paper_instance(1, 5)
+        opts = make_options()
+        calls = _count_root_set(monkeypatch)
+        cache = MSRICache()
+        # contracts off: their cold differential would call _root_set too
+        with contracts.checking(False):
+            cold = insert_repeaters(t, TECH, opts)
+            insert_repeaters_cached(t, TECH, opts, cache=cache)
+            del calls[:]
+            before = cache.stats()
+            warm = insert_repeaters_cached(t, TECH, opts, cache=cache)
+        assert calls == []
+        after = cache.stats()
+        assert after["hits"] == before["hits"] + 1
+        assert after["misses"] == before["misses"]
+        assert after["stores"] == before["stores"]
+        assert warm.tradeoff() == cold.tradeoff()
+        assert [s.assignment() for s in warm.solutions] == [
+            s.assignment() for s in cold.solutions
+        ]
+        assert [s.repeater_count() for s in warm.solutions] == [
+            s.repeater_count() for s in cold.solutions
+        ]
+        # the stats of a root-child front hit, field for field
+        (child,) = t.children(t.root)
+        width = cold.stats.set_sizes[child]
+        got = dataclasses.asdict(warm.stats)
+        del got["runtime_seconds"]
+        assert got == {
+            "nodes_processed": 0,
+            "solutions_generated": 0,
+            "solutions_after_pruning": 0,
+            "max_set_size": width,
+            "max_segments": 0,
+            "set_sizes": {child: width},
+            "cache_hits": 1,
+            "nodes_reused": len(t) - 1,
+        }
+
+    @pytest.mark.parametrize("make_options", OPTION_SETS)
+    def test_renumbered_net_hits_with_its_own_indices(
+        self, monkeypatch, make_options
+    ):
+        t = paper_instance(1, 5)
+        other, new = _renumbered(t)
+        assert [new[v] for v in range(len(t))] != list(range(len(t)))
+        assert subtree_signatures(other)[other.root] == (
+            subtree_signatures(t)[t.root]
+        )
+        # _domain_bound sums wire capacitance in index order, so the
+        # unquantized c_max can differ in its last bits between numberings
+        opts = make_options(quantize_bound=True)
+        cache = MSRICache()
+        with contracts.checking(False):
+            insert_repeaters_cached(t, TECH, opts, cache=cache)
+            calls = _count_root_set(monkeypatch)
+            warm = insert_repeaters_cached(other, TECH, opts, cache=cache)
+            assert calls == []
+            cold = insert_repeaters(other, TECH, opts)
+        assert warm.stats.nodes_processed == 0 and warm.stats.cache_hits == 1
+        assert root_suite(warm) == root_suite(cold)
+        with contracts.checking():
+            assert_identical(
+                insert_repeaters_cached(other, TECH, opts, cache=cache), cold
+            )
+
+    def test_root_key_is_domain_separated(self):
+        t = paper_instance(1, 5)
+        opts = repeater_insertion_options()
+        sig = subtree_signatures(t)[t.root]
+        fp = options_fingerprint(TECH, opts)
+        c_max = _domain_bound(t, TECH, opts)
+        assert root_key(sig, fp, c_max) != front_key(sig, fp, c_max)
+        assert root_key(sig, fp, c_max) != root_key(sig, fp, c_max * 2.0)
+
+    def test_steiner_root_keeps_its_error(self):
+        t = y_net()
+        parents = [t.parent(i) for i in range(len(t))]
+        lengths = [t.edge_length(i) for i in range(len(t))]
+        # re-root at the branch point by reversing the path above it
+        v, prev, prev_len = t.steiner_indices()[0], None, 0.0
+        while v is not None:
+            nxt, nxt_len = parents[v], lengths[v]
+            parents[v], lengths[v] = prev, prev_len
+            v, prev, prev_len = nxt, v, nxt_len
+        steiner_rooted = RoutingTree(list(t.nodes), parents, lengths)
+        assert len(steiner_rooted.children(steiner_rooted.root)) > 1
+        with pytest.raises(RuntimeError, match="rooted at a terminal"):
+            insert_repeaters_cached(steiner_rooted, TECH, OPTS, cache=MSRICache())
+
+    def test_engine_root_hit_then_edit(self):
+        t = random_topology(np.random.default_rng(13), n_terminals=6)
+        opts = MSRIOptions(library=LIB, quantize_bound=True)
+        cache = MSRICache()
+        with contracts.checking():
+            IncrementalMSRI(t, TECH, opts, cache=cache).solve()
+            eng = IncrementalMSRI(t, TECH, opts, cache=cache)
+            hit = eng.solve()
+            assert hit.stats.nodes_processed == 0
+            assert hit.stats.cache_hits == 1
+            assert eng._fronts == {}  # a root hit installs no front
+            ei = [i for i in range(len(t)) if t.parent(i) is not None][-1]
+            eng.set_edge_length(ei, t.edge_length(ei) + 100.0)
+            # the quantized bound holds, so the untouched subtrees' stored
+            # fronts answer the edited solve
+            assert _domain_bound(eng.tree, TECH, opts) == _domain_bound(
+                t, TECH, opts
+            )
+            edited = eng.solve()
+            assert edited.stats.nodes_processed > 0
+            assert edited.stats.cache_hits >= 1
+            assert_identical(edited, insert_repeaters(eng.tree, TECH, opts))
+            # the engine keeps every front it computed or installed from
+            # the cache; each matches a cold engine's on the edited tree
+            assert len(eng._fronts) == (
+                edited.stats.nodes_processed + edited.stats.cache_hits
+            )
+            fresh = IncrementalMSRI(eng.tree, TECH, opts)
+            fresh.solve()
+            for v, front in eng._fronts.items():
+                contracts.verify_front_values(
+                    front, fresh._fronts[v], context=f"node {v}"
+                )

@@ -303,6 +303,24 @@ class TestOptimizeOp:
         assert "chosen" not in resp  # no spec in play
         client.check("close", session=sid)
 
+    def test_repeat_optimize_is_one_root_suite_hit(self, client):
+        tree = _net(2)
+        sid = client.check("open", net=tree_to_dict(tree))["session"]
+        first = client.check("optimize", session=sid)
+        before = client.check("stats")["msri_cache"]
+        assert set(before) == {"size", "hits", "misses", "stores", "evictions"}
+        again = client.check("optimize", session=sid)
+        after = client.check("stats")["msri_cache"]
+        # one root lookup answers the whole solve: nothing missed or stored
+        assert after["hits"] == before["hits"] + 1
+        assert after["misses"] == before["misses"]
+        assert after["stores"] == before["stores"]
+        assert again["tradeoff"] == first["tradeoff"]
+        assert again["stats"]["nodes"] == 0
+        assert again["stats"]["cache_hits"] == 1
+        assert again["stats"]["nodes_reused"] == len(tree) - 1
+        client.check("close", session=sid)
+
     def test_session_defaults_overrides_and_spec(self, client):
         tree = _net(4)
         sid = client.check(
