@@ -313,11 +313,28 @@ class IntervalSet:
         method does, so the result is interval-for-interval equal to the
         chain (``docs/ALGORITHMS.md`` §14).
         """
-        ivs = _shifted(self._intervals, delta)
-        if meet is not None:
-            other, other_delta = meet
-            ivs = _coalesce(_intersect(ivs, _shifted(other._intervals, other_delta)), ATOL)
-        return _set(_clamped(ivs, lo, hi))
+        ivs = self._intervals
+        if meet is None:
+            if len(ivs) == 1:
+                (s_lo, s_hi), = ivs
+                return _single_clamped(Interval(s_lo + delta, s_hi + delta), lo, hi)
+            return _set(_clamped(_shifted(ivs, delta), lo, hi))
+        other, other_delta = meet
+        if len(ivs) == 1 and len(other._intervals) == 1:
+            # one interval a side: each stage yields at most one interval,
+            # so the coalescing passes have nothing to merge
+            (s_lo, s_hi), = ivs
+            (o_lo, o_hi), = other._intervals
+            a_lo, a_hi = Interval(s_lo + delta, s_hi + delta)
+            b_lo, b_hi = Interval(o_lo + other_delta, o_hi + other_delta)
+            # _intersect's max/min, with its tie rule: the first side wins
+            m_lo = b_lo if b_lo > a_lo else a_lo
+            m_hi = b_hi if b_hi < a_hi else a_hi
+            if m_lo > m_hi:
+                return _EMPTY
+            return _single_clamped((m_lo, m_hi), lo, hi)
+        met = _intersect(_shifted(ivs, delta), _shifted(other._intervals, other_delta))
+        return _set(_clamped(_coalesce(met, ATOL), lo, hi))
 
     def sample_points(self, per_interval: int = 3) -> List[float]:
         """Representative points: endpoints plus interior midpoints.
@@ -353,6 +370,22 @@ def _shifted(ivs: Sequence[Interval], delta: float) -> Tuple[Interval, ...]:
     pass stays because rounding can close a gap to within ``ATOL``.
     """
     return _coalesce([Interval(lo + delta, hi + delta) for lo, hi in ivs], ATOL)
+
+
+_EMPTY = _set(())
+
+
+def _single_clamped(iv: Tuple[float, float], lo: float, hi: float) -> IntervalSet:
+    """``_set(_clamped((iv,), lo, hi))`` for one interval, inlined."""
+    if lo > hi:
+        return _EMPTY
+    c_lo, c_hi = Interval(lo, hi)
+    i_lo, i_hi = iv
+    c_lo = c_lo if c_lo > i_lo else i_lo
+    c_hi = c_hi if c_hi < i_hi else i_hi
+    if c_lo > c_hi:
+        return _EMPTY
+    return _set((_raw(Interval, (c_lo, c_hi)),))
 
 
 def _clamped(ivs: Sequence[Interval], lo: float, hi: float) -> Tuple[Interval, ...]:

@@ -14,7 +14,9 @@ The vertex dispatch mirrors the paper's Fig. 5:
 * leaf          → :func:`~repro.core.solution.leaf_solution` (Fig. 6), or a
   set of sized-driver leaf solutions in driver-sizing mode;
 * branch vertex → pairwise :func:`~repro.core.solution.join` of the children
-  (Fig. 7);
+  (Fig. 7), except for the pairs a predictive stage certifies dominated
+  by a pair sharing a parent before building them (docs/ALGORITHMS.md
+  §16);
 * insertion pt  → unbuffered solutions plus one
   :func:`~repro.core.solution.apply_repeater` per oriented library repeater
   (Fig. 8), except for the buffered candidates a predictive stage
@@ -45,12 +47,15 @@ from ..tech.parameters import Technology
 from .mfs import mfs, mfs_pairwise
 from .prefilter import (
     LEQ_FULL,
+    domain_subset,
+    leq_status,
     line_leq_status,
     min_diam_lower_bound,
     prefilter_front,
 )
 from .pwl import max_segment_count
 from .solution import (
+    JoinPieces,
     Placement,
     RootSolution,
     Solution,
@@ -60,6 +65,7 @@ from .solution import (
     buffered_summary,
     evaluate_at_root,
     join,
+    join_pieces,
     leaf_solution,
 )
 
@@ -537,20 +543,22 @@ def _node_front(
     """Build and prune the front of one non-root vertex (Fig. 5).
 
     Returns ``(generated, front)``; ``generated`` also counts the
-    buffered candidates the insertion stage certified dominated without
-    building them, so ``generated == kept + pruned`` per node.  Each
-    vertex is pruned exactly once.
+    candidates the predictive join and insertion stages certified
+    dominated without building them, so ``generated == kept + pruned``
+    per node.  Each vertex is pruned exactly once.
     """
     node = tree.node(v)
     if node.kind is NodeKind.TERMINAL:
         raw = _leaf_set(node, v, c_max, options)
         return len(raw), prune(raw)
     if node.kind is NodeKind.STEINER:
-        raw = _branch_set(tree, tech, v, sets, c_max, prune, options, widths)
-        return len(raw), prune(raw)
-    raw, unbuilt, complete = _insertion_set(
-        tree, tech, v, sets, c_max, options, widths
-    )
+        raw, unbuilt, complete = _branch_set(
+            tree, tech, v, sets, c_max, prune, options, widths
+        )
+    else:
+        raw, unbuilt, complete = _insertion_set(
+            tree, tech, v, sets, c_max, options, widths
+        )
     return len(raw) + unbuilt, prune(raw, unbuilt, complete)
 
 
@@ -644,29 +652,125 @@ def _branch_set(
     prune,
     options: MSRIOptions,
     widths: Optional[Dict[int, float]] = None,
-) -> List[Solution]:
+) -> Tuple[List[Solution], int, Optional[List[Solution]]]:
     """The joined candidates of a branch vertex (Fig. 7).
 
-    The last pairwise join is returned unpruned: the caller prunes every
-    vertex once.
+    Returns the last pairwise join's ``(built, unbuilt, complete)``, as
+    :func:`_joined_pairs` does, unpruned: the caller prunes every vertex
+    once.
     """
     child_sets = _augmented_child_sets(tree, tech, v, sets, c_max, options, widths)
     current = child_sets[0]
+    unbuilt, complete = 0, None
     for n, other in enumerate(child_sets[1:]):
         if n:
             # prune between pairwise joins: branch points are where
             # suboptimal combinations explode (the paper notes pruning is
             # most effective when constructing solutions at a branch point
             # from its children)
-            current = prune(current)
-        combined = []
-        for s1 in current:
-            for s2 in other:
-                j = join(s1, s2, c_max)
+            current = prune(current, unbuilt, complete)
+        current, unbuilt, complete = _joined_pairs(
+            current, other, c_max, options.prefilter
+        )
+    return current, unbuilt, complete
+
+
+def _joined_pairs(
+    left: List[Solution],
+    right: List[Solution],
+    c_max: float,
+    predictive: bool,
+) -> Tuple[List[Solution], int, Optional[List[Solution]]]:
+    """The candidates ``join(a, b)`` for ``a`` in ``left``, ``b`` in ``right``.
+
+    Returns ``(built, unbuilt, complete)`` like :func:`_insertion_set`.
+    With ``predictive`` (and at least two pairs) the pairs are swept in
+    the MFS order ``(parity, cost, cap, q, pair index)``, and a pair an
+    earlier built pair sharing one of its parents certifies dominated is
+    not built (:func:`_dominated`, docs/ALGORITHMS.md §16);
+    ``unbuilt`` counts those.  The rest are built in sweep order, which
+    orders every exact scalar tie by pair index, as a full build's uids
+    would.  Under contracts every pair is built, in pair order, and
+    ``complete`` is that full set; otherwise ``complete`` is None.
+    """
+    n_right = len(right)
+    if not predictive or len(left) * n_right < 2:
+        built = []
+        for a in left:
+            for b in right:
+                j = join(a, b, c_max)
                 if j is not None:
-                    combined.append(j)
-        current = combined
-    return current
+                    built.append(j)
+        return built, 0, None
+    # the scalars join gives each pair, computed by the same expressions;
+    # parity-mismatched pairs are never candidates
+    entries = []
+    for i, a in enumerate(left):
+        parity, cost, cap, q = a.parity, a.cost, a.cap, a.q
+        base = i * n_right
+        for k, b in enumerate(right):
+            if b.parity == parity:
+                entries.append(
+                    (parity, cost + b.cost, cap + b.cap, max(q, b.q), base + k)
+                )
+    entries.sort()  # the pair index is unique: nothing past it is compared
+    complete = None
+    if contracts.contracts_enabled():
+        full = [join(a, b, c_max) for a in left for b in right]
+        complete = [j for j in full if j is not None]
+    # built pairs by parent: a pair's likeliest killers share a parent
+    rows: List[List[Solution]] = [[] for _ in left]
+    cols: List[List[Solution]] = [[] for _ in right]
+    built: List[Solution] = []
+    unbuilt = 0
+    for _, _, cap, q, index in entries:
+        i, k = divmod(index, n_right)
+        a = left[i]
+        b = right[k]
+        row = rows[i]
+        col = cols[k]
+        # earlier entries cost no more: the cap and q gates remain
+        suspects = [s for s in row if s.cap <= cap and s.q <= q]
+        suspects.extend(s for s in col if s.cap <= cap and s.q <= q)
+        if not suspects:
+            j = join(a, b, c_max) if complete is None else full[index]
+        else:
+            pieces = join_pieces(a, b, c_max)
+            if pieces is None:
+                continue  # join returns None: not a candidate
+            if _dominated(pieces, suspects):
+                unbuilt += 1
+                continue
+            j = join(a, b, c_max, pieces) if complete is None else full[index]
+        if j is not None:
+            built.append(j)
+            row.append(j)
+            col.append(j)
+    return built, unbuilt, complete
+
+
+def _dominated(pieces: JoinPieces, killers: List[Solution]) -> bool:
+    """Whether a killer certifies the joined pair ``pieces`` dominated.
+
+    The killers are built pairs earlier in the MFS order whose scalars
+    are no worse under exact comparison; the rest of
+    :func:`~repro.core.prefilter.prefilter_front`'s full certificate is
+    domain containment and ``LEQ_FULL`` on ``arr`` and ``diam``,
+    classified by :func:`~repro.core.prefilter.leq_status` on the pieces
+    :func:`~repro.core.solution.join` builds the pair from.
+    """
+    domain, arr, diam = pieces
+    for k in killers:
+        # None is the identically -inf function, as in leq_status
+        if (
+            domain_subset(domain, k.domain)
+            and (k.arr is None or (
+                arr is not None and leq_status(k.arr, arr) == LEQ_FULL))
+            and (k.diam is None or (
+                diam is not None and leq_status(k.diam, diam) == LEQ_FULL))
+        ):
+            return True
+    return False
 
 
 def _insertion_set(
@@ -809,13 +913,21 @@ def _root_set(
 
 
 def _pareto_root(candidates: List[RootSolution]) -> List[RootSolution]:
-    """2-D (cost, ARD) minima, sorted by cost ascending."""
+    """2-D (cost, ARD) minima, sorted by cost ascending.
+
+    Costs within ``1e-9`` are one cost: sums of the same prices in another
+    order can differ in the last bit (sized wires), and of two such
+    solutions only the faster is kept.
+    """
     ordered = sorted(candidates, key=lambda s: (s.cost, s.ard))
     out: List[RootSolution] = []
     best_ard = math.inf
     for s in ordered:
         if s.ard < best_ard - 1e-12:
-            out.append(s)
+            if out and s.cost <= out[-1].cost + 1e-9:
+                out[-1] = s
+            else:
+                out.append(s)
             best_ard = s.ard
     if contracts.contracts_enabled():
         contracts.verify_root_front(out)

@@ -25,7 +25,9 @@ Two levels are provided:
   partial case falls through to the original exact machinery, so results
   are bit-identical by construction.  :func:`line_leq_status` is its
   single-overlap block, shared with the DP's predictive repeater stage,
-  which classifies buffered candidates before building them.
+  which classifies buffered candidates before building them; the
+  predictive join classifies joined pairs with :func:`leq_status` itself,
+  on the pieces ``join`` would build them from.
 * :func:`prefilter_front` — a sorted-front candidate sweep run *before*
   the MFS pruner: candidates are visited in the pruner's own tie-break
   order and tested against a bounded list of earlier "killer" solutions;

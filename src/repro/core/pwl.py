@@ -375,10 +375,7 @@ class PWL:
         merge's tolerance is relative to the coefficients each stage
         changes (``docs/ALGORITHMS.md`` §14).
         """
-        segs = _shift(self._segments, c)
-        if linear is not None:
-            segs = _add_linear(segs, linear[0], linear[1])
-        return _pwl(_restrict(segs, region))
+        return _pwl(_shifted_into(self._segments, c, region, linear))
 
     def maximum(self, other: "PWL") -> "PWL":
         """Piece-wise maximum of two PWLs on the *intersection* of domains.
@@ -387,11 +384,11 @@ class PWL:
         solutions are joined at a branch, the combined solution only exists
         for ``c_E`` values where both children's functions are defined.
         """
-        return _combine(self, other, max_of=True)
+        return _pwl(_combined(self._segments, other._segments, True))
 
     def minimum(self, other: "PWL") -> "PWL":
         """Piece-wise minimum on the intersection of domains."""
-        return _combine(self, other, max_of=False)
+        return _pwl(_combined(self._segments, other._segments, False))
 
     def region_leq(self, other: "PWL", atol: float = 0.0) -> IntervalSet:
         """The subset of the common domain where ``self(x) <= other(x) + atol``.
@@ -400,7 +397,7 @@ class PWL:
         is no worse than the incumbent in one coordinate.
         """
         regions: List[Interval] = []
-        for lo, hi, sa, sb in _overlaps(self, other):
+        for lo, hi, sa, sb in _overlaps(self._segments, other._segments):
             regions.extend(_line_leq_region(sa, sb, lo, hi, atol))
         return IntervalSet(regions)
 
@@ -494,6 +491,19 @@ def _add_linear(
     return _canonicalize(out)
 
 
+def _shifted_into(
+    segs: Tuple[Segment, ...],
+    c: float,
+    region: IntervalSet,
+    linear: Optional[Tuple[float, float]] = None,
+) -> Tuple[Segment, ...]:
+    """Segments of :meth:`PWL.shift_into`."""
+    segs = _shift(segs, c)
+    if linear is not None:
+        segs = _add_linear(segs, linear[0], linear[1])
+    return _restrict(segs, region)
+
+
 def _restrict(segs: Tuple[Segment, ...], region: IntervalSet) -> Tuple[Segment, ...]:
     """Segments of :meth:`PWL.restrict`; ``segs`` itself when unchanged."""
     ivs = region._intervals
@@ -503,9 +513,13 @@ def _restrict(segs: Tuple[Segment, ...], region: IntervalSet) -> Tuple[Segment, 
         for seg in segs:
             if seg[1] > last:
                 last = seg[1]
-        touching = [iv for iv in ivs if iv[0] <= last and first <= iv[1]]
-        if len(touching) == 1 and touching[0][0] <= first and last <= touching[0][1]:
-            return segs
+        if len(ivs) == 1:
+            if ivs[0][0] <= first and last <= ivs[0][1]:
+                return segs
+        else:
+            touching = [iv for iv in ivs if iv[0] <= last and first <= iv[1]]
+            if len(touching) == 1 and touching[0][0] <= first and last <= touching[0][1]:
+                return segs
     out: List[Segment] = []
     for s_lo, s_hi, intercept, slope in segs:
         for iv_lo, iv_hi in ivs:
@@ -517,13 +531,14 @@ def _restrict(segs: Tuple[Segment, ...], region: IntervalSet) -> Tuple[Segment, 
     return _canonicalize(out)
 
 
-def _overlaps(f: PWL, g: PWL) -> Iterable[Tuple[float, float, Segment, Segment]]:
+def _overlaps(
+    fs: Tuple[Segment, ...], gs: Tuple[Segment, ...]
+) -> Iterable[Tuple[float, float, Segment, Segment]]:
     """Yield ``(lo, hi, seg_f, seg_g)`` for every overlap of segment domains.
 
     Linear merge over the two sorted segment lists.
     """
     i = j = 0
-    fs, gs = f._segments, g._segments
     nf, ng = len(fs), len(gs)
     while i < nf and j < ng:
         sa = fs[i]
@@ -541,37 +556,57 @@ def _overlaps(f: PWL, g: PWL) -> Iterable[Tuple[float, float, Segment, Segment]]
             j += 1
 
 
-def _combine(f: PWL, g: PWL, *, max_of: bool) -> PWL:
-    """Shared implementation of piece-wise max/min on the domain overlap.
+def _combined(
+    fs: Tuple[Segment, ...], gs: Tuple[Segment, ...], max_of: bool
+) -> Tuple[Segment, ...]:
+    """Segments of :meth:`PWL.maximum` (``max_of``) or :meth:`PWL.minimum`.
 
-    Each overlap is cut at the lines' interior crossing, if any, and every
-    piece takes the line that wins at its midpoint.  A point overlap is a
-    single piece.  Pieces come out in ``(lo, hi)`` order, each once.
+    Each overlap (the :func:`_overlaps` walk, inlined) is cut at the
+    lines' interior crossing, if any, and every piece takes the line that
+    wins at its midpoint.  Lines whose slopes differ by at most ``_EPS``
+    count as parallel: their crossing would lie far outside any finite
+    domain of interest.  A point overlap is a single piece.  Pieces come
+    out in ``(lo, hi)`` order, each once.
     """
     out: List[Segment] = []
-    for lo, hi, sa, sb in _overlaps(f, g):
-        a_ic, a_sl = sa[2], sa[3]
-        b_ic, b_sl = sb[2], sb[3]
-        xc = _crossing(sa, sb, lo, hi)
-        cuts = (lo, hi) if xc is None else (lo, xc, hi)
-        for k in range(len(cuts) - 1):
-            a = cuts[k]
-            b = cuts[k + 1]
-            if b < a:
-                continue
-            mid = 0.5 * (a + b)
-            ya = a_ic + a_sl * mid
-            yb = b_ic + b_sl * mid
-            if (ya >= yb) if max_of else (ya <= yb):
-                piece = _raw(Segment, (a, b, a_ic, a_sl))
-            else:
-                piece = _raw(Segment, (a, b, b_ic, b_sl))
-            # a point shared by two successive overlaps comes out twice;
-            # the collinear merge would fold the copy into the first
-            if a == b and out and _same_bits(piece, out[-1]):
-                continue
-            out.append(piece)
-    return PWL(_dedupe_points(out))
+    points = False
+    i = j = 0
+    nf = len(fs)
+    ng = len(gs)
+    while i < nf and j < ng:
+        a_lo, a_hi, a_ic, a_sl = fs[i]
+        b_lo, b_hi, b_ic, b_sl = gs[j]
+        # max/min with their tie rule: f's endpoint wins
+        lo = b_lo if b_lo > a_lo else a_lo
+        hi = b_hi if b_hi < a_hi else a_hi
+        if lo <= hi:
+            ds = a_sl - b_sl
+            pieces = ((lo, hi),)
+            if abs(ds) > _EPS:
+                x = (b_ic - a_ic) / ds
+                if lo + _EPS < x < hi - _EPS:
+                    pieces = ((lo, x), (x, hi))
+            for a, b in pieces:
+                mid = 0.5 * (a + b)
+                ya = a_ic + a_sl * mid
+                yb = b_ic + b_sl * mid
+                if (ya >= yb) if max_of else (ya <= yb):
+                    piece = _raw(Segment, (a, b, a_ic, a_sl))
+                else:
+                    piece = _raw(Segment, (a, b, b_ic, b_sl))
+                if a == b:
+                    # a point shared by two successive overlaps comes out
+                    # twice; the collinear merge would fold the copy into
+                    # the first
+                    if out and _same_bits(piece, out[-1]):
+                        continue
+                    points = True
+                out.append(piece)
+        if a_hi < b_hi:
+            i += 1
+        else:
+            j += 1
+    return _canonicalize(_dedupe_points(out) if points else out)
 
 
 def _same_bits(p: Segment, q: Segment) -> bool:
@@ -584,7 +619,7 @@ def _same_bits(p: Segment, q: Segment) -> bool:
 def _dedupe_points(segments: List[Segment]) -> List[Segment]:
     """Drop point segments swallowed by an adjacent full segment.
 
-    Keeps the input order, so pieces of :func:`_combine` stay sorted.
+    Keeps the input order, so pieces of :func:`_combined` stay sorted.
     """
     full = [s for s in segments if s[1] > s[0]]
     if len(full) == len(segments):
@@ -595,19 +630,6 @@ def _dedupe_points(segments: List[Segment]) -> List[Segment]:
         if s[1] > x or not any(f[0] - ATOL <= x <= f[1] + ATOL for f in full):
             kept.append(s)
     return kept
-
-
-def _crossing(a: Segment, b: Segment, lo: float, hi: float) -> Optional[float]:
-    """Interior crossing point of two lines within ``(lo, hi)``, if any."""
-    ds = a[3] - b[3]
-    if abs(ds) <= _EPS:
-        # (numerically) parallel: a sub-_EPS slope difference would place
-        # the crossing far outside any finite domain of interest
-        return None
-    x = (b[2] - a[2]) / ds
-    if lo + _EPS < x < hi - _EPS:
-        return x
-    return None
 
 
 def _line_leq_region(

@@ -38,7 +38,14 @@ from typing import Dict, List, Optional, Tuple
 from ..tech.buffers import Repeater
 from ..tech.terminals import NEVER, Terminal
 from .intervals import IntervalSet
-from .pwl import PWL
+from .pwl import (
+    PWL,
+    Segment,
+    _add_linear,
+    _combined,
+    _pwl,
+    _shifted_into,
+)
 
 __all__ = [
     "Placement",
@@ -47,6 +54,7 @@ __all__ = [
     "leaf_solution",
     "augment_wire",
     "join",
+    "join_pieces",
     "apply_repeater",
     "buffered_summary",
     "RootSolution",
@@ -54,6 +62,9 @@ __all__ = [
 ]
 
 _ids = itertools.count()
+
+#: ``(domain, arr, diam)`` of a joined solution (:func:`join_pieces`).
+JoinPieces = Tuple[IntervalSet, Optional[PWL], Optional[PWL]]
 
 
 @dataclass(frozen=True)
@@ -292,7 +303,12 @@ def augment_wire(
 # -- JoinSets (Fig. 7): merge two child subtrees at a branch point ----------------
 
 
-def join(s1: Solution, s2: Solution, c_max: float) -> Optional[Solution]:
+def join(
+    s1: Solution,
+    s2: Solution,
+    c_max: float,
+    pieces: Optional[JoinPieces] = None,
+) -> Optional[Solution]:
     """Combine sibling solutions at their common branch vertex.
 
     Each side's sources now additionally see the other side's capacitance
@@ -301,37 +317,17 @@ def join(s1: Solution, s2: Solution, c_max: float) -> Optional[Solution]:
     function with the other side's ``q``.
 
     Returns None for parity-incompatible sides (inverter extension): a
-    cross-branch path would see an odd number of inversions.
+    cross-branch path would see an odd number of inversions.  ``pieces``
+    is :func:`join_pieces` of the same pair, when the caller already has
+    it.
     """
     if s1.parity != s2.parity:
         return None
-    domain = s1.domain.shift_clamp(-s2.cap, 0.0, c_max, meet=(s2.domain, -s1.cap))
-    if domain.is_empty:
-        return None
-
-    arr1 = s1.arr.shift_into(s2.cap, domain) if s1.arr is not None else None
-    arr2 = s2.arr.shift_into(s1.cap, domain) if s2.arr is not None else None
-    for a in (arr1, arr2):
-        if a is not None and a.is_empty:
+    if pieces is None:
+        pieces = join_pieces(s1, s2, c_max)
+        if pieces is None:
             return None
-
-    arr = _max_optional(arr1, arr2)
-
-    diam_candidates: List[PWL] = []
-    if s1.diam is not None:
-        diam_candidates.append(s1.diam.shift_into(s2.cap, domain))
-    if s2.diam is not None:
-        diam_candidates.append(s2.diam.shift_into(s1.cap, domain))
-    if arr1 is not None and s2.q != NEVER:
-        diam_candidates.append(arr1.add_scalar(s2.q))
-    if arr2 is not None and s1.q != NEVER:
-        diam_candidates.append(arr2.add_scalar(s1.q))
-    if any(c.is_empty for c in diam_candidates):
-        return None
-    diam = None
-    for c in diam_candidates:
-        diam = c if diam is None else diam.maximum(c)
-
+    domain, arr, diam = pieces
     return Solution(
         cost=s1.cost + s2.cost,
         cap=s1.cap + s2.cap,
@@ -344,12 +340,53 @@ def join(s1: Solution, s2: Solution, c_max: float) -> Optional[Solution]:
     )
 
 
-def _max_optional(a: Optional[PWL], b: Optional[PWL]) -> Optional[PWL]:
-    if a is None:
-        return b
-    if b is None:
-        return a
-    return a.maximum(b)
+def join_pieces(s1: Solution, s2: Solution, c_max: float) -> Optional[JoinPieces]:
+    """The ``(domain, arr, diam)`` of :func:`join`'s result, or None when
+    there is none (parity is not checked).
+
+    The stages run on canonical segment tuples, and the functions are
+    built once, at the end.  The DP's predictive join classifies these
+    pieces before it decides to build the pair (docs/ALGORITHMS.md §16).
+    """
+    domain = s1.domain.shift_clamp(-s2.cap, 0.0, c_max, meet=(s2.domain, -s1.cap))
+    if domain.is_empty:
+        return None
+    arr1 = arr2 = None
+    if s1.arr is not None:
+        arr1 = _shifted_into(s1.arr._segments, s2.cap, domain)
+        if not arr1:
+            return None
+    if s2.arr is not None:
+        arr2 = _shifted_into(s2.arr._segments, s1.cap, domain)
+        if not arr2:
+            return None
+    # diam: both sides' own pairs, shifted, and the new cross-branch
+    # pairs, one side's arrival plus the other side's q
+    terms: List[Tuple[Segment, ...]] = []
+    if s1.diam is not None:
+        terms.append(_shifted_into(s1.diam._segments, s2.cap, domain))
+    if s2.diam is not None:
+        terms.append(_shifted_into(s2.diam._segments, s1.cap, domain))
+    if arr1 is not None and s2.q != NEVER:
+        terms.append(_add_linear(arr1, s2.q, None))
+    if arr2 is not None and s1.q != NEVER:
+        terms.append(_add_linear(arr2, s1.q, None))
+    if not all(terms):
+        return None
+    diam = None
+    for term in terms:
+        diam = term if diam is None else _combined(diam, term, True)
+    if arr1 is None:
+        arr = arr2
+    elif arr2 is None:
+        arr = arr1
+    else:
+        arr = _combined(arr1, arr2, True)
+    return (
+        domain,
+        None if arr is None else _pwl(arr),
+        None if diam is None else _pwl(diam),
+    )
 
 
 # -- RepeaterSolutions (Fig. 8) -----------------------------------------------------

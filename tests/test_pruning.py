@@ -4,8 +4,10 @@ Three layers under test:
 
 * the allocation-free predictive classification (``leq_status`` /
   ``domain_subset``) against the exact region machinery it replicates;
-* the pre-MFS candidate sweep (``prefilter_front``) and the end-to-end
-  exact-mode bit-identity guarantee over randomized nets;
+* the pre-MFS candidate sweep (``prefilter_front``), the predictive
+  repeater and join stages that skip building certified-dominated
+  candidates, and the end-to-end exact-mode bit-identity guarantee over
+  randomized nets;
 * the width/segment caps and their exact-by-default, lossy-by-consent
   contract, including the stats/observability accounting they share.
 """
@@ -44,7 +46,7 @@ from repro.core.prefilter import (
     prefilter_front,
 )
 from repro.core.pwl import PWL, Segment, max_segment_count
-from repro.core.solution import Solution, apply_repeater
+from repro.core.solution import Solution, apply_repeater, join
 from repro.netgen.random_nets import random_net
 from repro.netgen.workloads import (
     paper_driver_options,
@@ -54,11 +56,12 @@ from repro.netgen.workloads import (
     repeater_insertion_options,
 )
 from repro.obs import core as obs
+from repro.rctree import TreeBuilder
 from repro.rctree.topology import NodeKind
 from repro.steiner import add_insertion_points
-from repro.tech import NEVER, Buffer, Repeater, RepeaterLibrary
+from repro.tech import NEVER, Buffer, Repeater, RepeaterLibrary, default_wire_library
 
-from .conftest import random_topology
+from .conftest import make_terminal, random_topology
 
 TECH = paper_technology()
 
@@ -590,17 +593,24 @@ def test_predictive_stage_fronts_match_full_build(library, seed):
 
 
 def test_predictive_stage_builds_fewer_candidates(small_net, monkeypatch):
-    """Fewer apply_repeater calls than Fig. 5 buffered candidates.
+    """Fewer apply_repeater and join calls than Fig. 5 / Fig. 7 candidates.
 
     The difference is counted as prefilter drops: ``dropped`` is exactly
-    the unbuilt candidates plus what the sorted-front sweep drops.
+    the unbuilt buffered candidates, plus the unbuilt joined pairs, plus
+    what the sorted-front sweep drops.
     """
     built = []
+    joined = []
     swept = []
 
     def counting_apply(*args):
         out = apply_repeater(*args)
         built.append(out is not None)
+        return out
+
+    def counting_join(*args):
+        out = join(*args)
+        joined.append(out is not None)
         return out
 
     def counting_sweep(raw, **kwargs):
@@ -609,23 +619,270 @@ def test_predictive_stage_builds_fewer_candidates(small_net, monkeypatch):
         return out
 
     monkeypatch.setattr(msri, "apply_repeater", counting_apply)
+    monkeypatch.setattr(msri, "join", counting_join)
     monkeypatch.setattr(msri, "prefilter_front", counting_sweep)
     with contracts.checking(False):
         full = insert_repeaters(
             small_net, TECH, repeater_insertion_options(prefilter=False)
         )
         fig5 = sum(built)
+        fig7_pairs, fig7 = len(joined), sum(joined)
         built.clear()
+        joined.clear()
         with obs.observing():
             fast = insert_repeaters(small_net, TECH, repeater_insertion_options())
             snap = obs.snapshot(reset=True)
     assert all(built)  # survivors only: every call builds a candidate
     assert len(built) < fig5
+    assert len(joined) < fig7_pairs
     counters = snap["counters"]
     assert counters["msri.prefilter.examined"] == fast.stats.solutions_generated
-    assert counters["msri.prefilter.dropped"] == (fig5 - len(built)) + sum(swept)
+    assert counters["msri.prefilter.dropped"] == (
+        (fig5 - len(built)) + (fig7 - sum(joined)) + sum(swept)
+    )
     assert fast.stats.solutions_generated == full.stats.solutions_generated
     assert fast.tradeoff() == full.tradeoff()
+
+
+# -- the predictive join, end to end -------------------------------------------
+
+
+def _star_net(seed):
+    """A root terminal above a Steiner point with four terminal children."""
+    rng = np.random.default_rng(seed)
+
+    def terminal(name, x, y):
+        return make_terminal(
+            name, x, y,
+            alpha=float(rng.uniform(0.0, 200.0)),
+            beta=float(rng.uniform(0.0, 200.0)),
+            cap=float(rng.uniform(0.01, 0.5)),
+            res=float(rng.uniform(50.0, 400.0)),
+        )
+
+    b = TreeBuilder()
+    root = b.add_terminal(terminal("r", 0.0, 0.0))
+    hub = b.add_steiner(3000.0, 0.0)
+    b.connect(root, hub)
+    for n, (x, y) in enumerate(((6000.0, 0.0), (3000.0, 3000.0),
+                                (3000.0, -3000.0), (5000.0, 2000.0))):
+        b.connect(hub, b.add_terminal(terminal(f"t{n}", x, y)))
+    return add_insertion_points(b.build(root=root), spacing=1500.0)
+
+
+#: Paper-protocol nets whose fronts below a branch vertex have holes.
+_HOLEY_NETS = ((5, 5), (1, 6))
+
+#: case -> (net for a seed, MSRIOptions for a ``prefilter`` setting)
+_JOIN_CASES = {
+    **{
+        lib: (_stage_net, make) for lib, make in _STAGE_LIBRARIES.items()
+    },
+    "wire-library": (_stage_net, lambda prefilter: MSRIOptions(
+        library=paper_repeater_library(),
+        wire_library=default_wire_library(widths=(1.0, 2.0)),
+        prefilter=prefilter,
+    )),
+    "4-child-steiner": (
+        _star_net, lambda prefilter: repeater_insertion_options(prefilter=prefilter)
+    ),
+    "holey-domain": (
+        lambda seed: paper_instance(*_HOLEY_NETS[seed]),
+        lambda prefilter: repeater_insertion_options(prefilter=prefilter),
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_JOIN_CASES))
+@pytest.mark.parametrize("seed", range(2))
+def test_predictive_join_fronts_match_full_build(case, seed):
+    """At every vertex, the front equals the full-build front.
+
+    The full build is ``prefilter=False``: every pair joined, the pure
+    Fig. 4 pruner.  The predictive join runs with contracts, where each
+    branch front is also checked against the prescreen-free MFS of its
+    complete join, and without, where only the uncertified pairs are
+    built.
+    """
+    net, make = _JOIN_CASES[case]
+    tree = net(seed)
+    full, full_fronts = _fronts(tree, make(False))
+    with contracts.checking(True):
+        checked, checked_fronts = _fronts(tree, make(True))
+    with contracts.checking(False):
+        fast, fast_fronts = _fronts(tree, make(True))
+    branches = [v for v in full_fronts if tree.node(v).kind is NodeKind.STEINER]
+    assert branches
+    if case == "4-child-steiner":
+        assert max(len(tree.children(v)) for v in branches) >= 4
+    if case == "holey-domain":
+        assert any(
+            len(s.domain) > 1
+            for v in branches for u in tree.children(v) for s in full_fronts[u]
+        )
+    for v in full_fronts:
+        for fronts in (checked_fronts, fast_fronts):
+            contracts.verify_front_values(
+                fronts[v], full_fronts[v], context=f"{case} node {v}"
+            )
+    for res in (checked, fast):
+        assert res.tradeoff() == full.tradeoff()
+        assert res.stats.solutions_generated == full.stats.solutions_generated
+        assert res.stats.set_sizes == full.stats.set_sizes
+
+
+def _join_certificate_by_construction(left, right, c_max):
+    """Reference for _joined_pairs: join every pair, then sweep the built.
+
+    The pairs are swept in the MFS order (pair index as the uid) and each
+    is tested against every earlier survivor sharing a parent with
+    prefilter_front's full certificate, computed by leq_status and
+    domain_subset on the built solutions.  Returns the surviving pair
+    indices, ascending, and the number of candidates.
+    """
+    built = []
+    for i, a in enumerate(left):
+        for k, b in enumerate(right):
+            j = join(a, b, c_max)
+            if j is not None:
+                built.append((j, i, k))
+    built.sort(key=lambda jik: (jik[0].parity, jik[0].cost, jik[0].cap,
+                                jik[0].q, jik[1] * len(right) + jik[2]))
+    killers, survivors = [], []
+    for j, i, k in built:
+        if not any(
+            (ki == i or kk == k) and s.cost <= j.cost and s.cap <= j.cap
+            and s.q <= j.q and domain_subset(j.domain, s.domain)
+            and leq_status(s.arr, j.arr) == LEQ_FULL
+            and leq_status(s.diam, j.diam) == LEQ_FULL
+            for s, ki, kk in killers
+        ):
+            killers.append((j, i, k))
+            survivors.append(i * len(right) + k)
+    return sorted(survivors), len(built)
+
+
+def _pair_indices(built, complete, left, right, c_max):
+    """The pair index of each built candidate (they are complete's objects)."""
+    index = {}
+    pairs = iter(complete)
+    for i, a in enumerate(left):
+        for k, b in enumerate(right):
+            if join(a, b, c_max) is not None:
+                index[id(next(pairs))] = i * len(right) + k
+    return sorted(index[id(s)] for s in built)
+
+
+@st.composite
+def join_sides(draw):
+    """Two child fronts: exact scalar ties, one-ulp intercepts, holes."""
+    grid = st.sampled_from([0.0, 1.0, 2.0])
+    level = st.sampled_from([1.0, _ONE_UP, 2.0])
+    fun = st.one_of(
+        st.none(),
+        st.tuples(level, st.sampled_from([0.0, 0.5, _STEEP])).map(
+            lambda p: PWL.linear(p[0], p[1], 0.0, _WIDE)
+        ),
+        st.just(PWL.from_breakpoints([0.0, 5.0, _WIDE], [1.0, 3.0, 4.0])),
+    )
+    dom = st.sampled_from([
+        IntervalSet.single(0.0, _WIDE),
+        IntervalSet.single(0.0, 500.0),
+        IntervalSet.from_pairs([(0.0, 3.0), (5.0, _WIDE)]),
+    ])
+
+    def side():
+        out = []
+        for _ in range(draw(st.integers(min_value=1, max_value=5))):
+            d = draw(dom)
+            arr = draw(fun)
+            diam = draw(fun)
+            out.append(Solution(
+                cost=draw(grid),
+                cap=draw(grid),
+                q=draw(st.sampled_from([NEVER, 0.0, 1.0])),
+                arr=None if arr is None else arr.restrict(d),
+                diam=None if diam is None else diam.restrict(d),
+                domain=d,
+                parity=draw(st.sampled_from([0, 0, 1])),
+            ))
+        return out
+
+    return side(), side()
+
+
+@given(join_sides())
+@settings(max_examples=200, deadline=None)
+def test_joined_pairs_match_the_built_certificate(sides):
+    """Certifying on join_pieces == certifying the built pairs, and the
+    pruned front of the built pairs == that of the complete join."""
+    left, right = sides
+    with contracts.checking(True):
+        built, unbuilt, complete = msri._joined_pairs(left, right, _WIDE, True)
+        if complete is None:  # a single pair takes the plain loop
+            assert unbuilt == 0
+            return
+        survivors, candidates = _join_certificate_by_construction(
+            left, right, _WIDE
+        )
+        assert _pair_indices(built, complete, left, right, _WIDE) == survivors
+        assert unbuilt == candidates - len(survivors) == len(complete) - len(built)
+        contracts.verify_front_equivalence(
+            mfs(built), mfs(complete, prescreen=False), context="predictive join"
+        )
+    with contracts.checking(False):
+        fast, fast_unbuilt, none = msri._joined_pairs(left, right, _WIDE, True)
+    assert none is None and fast_unbuilt == unbuilt
+    contracts.verify_front_values(mfs(fast), mfs(complete), context="uncontracted")
+
+
+def _sink(q=0.0):
+    """A pure sink with no cap: joining it shifts nothing."""
+    return Solution(cost=0.0, cap=0.0, q=q, arr=None, diam=None,
+                    domain=IntervalSet.single(0.0, _WIDE))
+
+
+def _source(intercept, slope):
+    return Solution(cost=0.0, cap=0.0, q=NEVER,
+                    arr=PWL.linear(intercept, slope, 0.0, _WIDE), diam=None,
+                    domain=IntervalSet.single(0.0, _WIDE))
+
+
+@pytest.mark.parametrize("checking", [False, True])
+@pytest.mark.parametrize(
+    "second,slope,unbuilt",
+    [
+        # an exact tie: the later pair is a copy of the earlier one
+        (1.0, 0.5, 1),
+        # one ulp lower everywhere: the later pair is better, so built
+        (math.nextafter(1.0, 0.0), 0.0, 0),
+        # one ulp lower at 0, equal after rounding at c_max: the endpoint
+        # differences straddle zero and the midpoint calls the earlier
+        # line no worse, as leq_status does on the built pairs
+        (math.nextafter(1.0, 0.0), _STEEP, 1),
+    ],
+)
+def test_predictive_join_ties(second, slope, unbuilt, checking):
+    """Pairs (sink, source) in the same row tie on every scalar.
+
+    The pair index decides the order, so the first pair can only kill
+    the second, and does exactly when leq_status on the built pairs says
+    so: ``arr`` and ``diam`` (the arrival plus the sink's q) are the
+    source's line, since the sink adds no cap and q = 0.
+    """
+    left = [_sink()]
+    right = [_source(1.0, slope), _source(second, slope)]
+    if unbuilt:
+        first, later = (join(left[0], b, _WIDE) for b in right)
+        assert leq_status(first.arr, later.arr) == LEQ_FULL
+        assert leq_status(first.diam, later.diam) == LEQ_FULL
+    with contracts.checking(checking):
+        built, got, _ = msri._joined_pairs(left, right, _WIDE, True)
+    assert got == unbuilt
+    assert len(built) == 2 - unbuilt
+    assert _join_certificate_by_construction(left, right, _WIDE) == (
+        [0, 1][:2 - unbuilt], 2
+    )
 
 
 # -- the caps ------------------------------------------------------------------
