@@ -41,7 +41,8 @@ with the prescreen on or off (``docs/PRUNING.md``).
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence
+from bisect import bisect_right
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..tech.terminals import NEVER
 from .intervals import IntervalSet
@@ -52,6 +53,10 @@ __all__ = ["prune_one", "mfs", "mfs_pairwise"]
 
 #: Scalar slack: coordinates within this are treated as tied.
 _SCALAR_ATOL = 1e-9
+
+#: One equal-``(parity, cost)`` run of a front: ``(cost, start, caps, qs,
+#: qmin)`` (:func:`_killer_index`).
+_Run = Tuple[float, int, List[float], List[float], List[float]]
 
 
 def _scalars_weakly_dominate(by: Solution, s: Solution) -> bool:
@@ -256,26 +261,88 @@ def mfs_pairwise(
     return kept
 
 
-def _cost_run_skips(front: List[Solution]) -> List[int]:
-    """``nxt[i]``: first index past ``i`` whose ``(parity, cost)`` differs.
+def _killer_index(front: List[Solution]) -> Dict[int, List[_Run]]:
+    """Index a sorted front's equal-``(parity, cost)`` runs, per parity.
 
-    Fronts are sorted by ``(parity, cost, cap, q, uid)``, so equal
-    ``(parity, cost)`` runs are contiguous and cap-ascending inside.  Run
-    boundaries use exact equality on purpose: costs inside a front are
-    sums of the same library costs, so equal costs are bit-equal — and a
-    conservative boundary (treating near-equal costs as different runs)
-    only shortens a skip, never skips a killer the gates would pass.
+    Fronts are sorted by ``(parity, cost, cap, q, uid)``, so each run is
+    contiguous and cap-ascending.  A run is ``(cost, start, caps, qs,
+    qmin)``: ``caps`` and ``qs`` are its columns and ``qmin[j]`` is the
+    least ``q`` among its first ``j + 1`` members.  Run boundaries use
+    exact equality on purpose: costs inside a front are sums of the same
+    library costs, so equal costs are bit-equal, and splitting near-equal
+    costs into two runs changes no gate (docs/ALGORITHMS.md §17).
     """
+    index: Dict[int, List[_Run]] = {}
     n = len(front)
-    nxt = [n] * n
-    for i in range(n - 2, -1, -1):
+    i = 0
+    while i < n:
         s = front[i]
-        t = front[i + 1]
-        if s.parity == t.parity and s.cost == t.cost:  # repro: noqa[R001]
-            nxt[i] = nxt[i + 1]
-        else:
-            nxt[i] = i + 1
-    return nxt
+        parity = s.parity
+        cost = s.cost
+        caps = [s.cap]
+        qs = [s.q]
+        qmin = [s.q]
+        low = s.q
+        j = i + 1
+        while j < n:
+            k = front[j]
+            if k.parity != parity or k.cost != cost:  # repro: noqa[R001]
+                break
+            q = k.q
+            caps.append(k.cap)
+            qs.append(q)
+            if q < low:
+                low = q
+            qmin.append(low)
+            j += 1
+        index.setdefault(parity, []).append((cost, i, caps, qs, qmin))
+        i = j
+    return index
+
+
+def _scan(
+    victims: List[Solution],
+    killers: List[Solution],
+    strict: bool,
+    prescreen: bool,
+) -> List[Solution]:
+    """Prune every victim by the killers its scalars admit, in index order.
+
+    The killers of ``s`` are those of its parity with cost, cap and
+    ``q`` each at most ``s``'s plus ``_SCALAR_ATOL``.  Costs ascend
+    across a parity's runs, so the scan stops at the first run above the
+    cost gate; caps ascend inside a run, so one bisect finds the cap
+    gate's prefix; and ``qmin`` is non-increasing, so the killers passing
+    the ``q`` gate all sit in the tail of that prefix where ``qmin`` is
+    still at most ``s.q + atol``.  Walking that tail forward visits the
+    same killers, in the same order, as a linear walk of the front.
+    """
+    atol = _SCALAR_ATOL
+    index = _killer_index(killers)
+    survivors: List[Solution] = []
+    for s in victims:
+        cur: Optional[Solution] = s
+        climit = s.cost + atol
+        ccap = s.cap + atol
+        cq = s.q + atol
+        for cost, start, caps, qs, qmin in index.get(s.parity, ()):
+            if cost > climit:
+                break
+            end = bisect_right(caps, ccap)
+            j = end
+            while j and qmin[j - 1] <= cq:
+                j -= 1
+            while j < end:
+                if qs[j] <= cq:
+                    cur = _prune_one_gated(cur, killers[start + j], strict, prescreen)
+                    if cur is None:
+                        break
+                j += 1
+            if cur is None:
+                break
+        if cur is not None:
+            survivors.append(cur)
+    return survivors
 
 
 def _merge(
@@ -285,76 +352,14 @@ def _merge(
 
     Both inputs arrive sorted by the pruner's key ``(parity, cost, cap,
     q, uid)`` — :func:`mfs` pre-sorts, pruning preserves scalars, and the
-    concatenation below keeps every key in ``a`` below every key in ``b``
-    — so a killer scan can stop at the first killer whose parity or cost
-    already fails the weak-dominance gate: every later killer fails the
-    same exact comparison.  Within an equal ``(parity, cost)`` run the
-    killers are cap-ascending, so the first killer failing the cap gate
-    certifies the rest of its run; :func:`_cost_run_skips` lets the scan
-    jump whole runs (integer library costs make them long on fat fronts).
+    concatenation below keeps every key in ``a`` below every key in ``b``.
+    ``b`` is pruned weakly by ``a``, then ``a`` strictly by what is left
+    of ``b``.  Each side finds a victim's killers through
+    :func:`_killer_index`, the killer front's per-run columns, instead of
+    testing the scalar gates on every killer (docs/ALGORITHMS.md §17).
     """
-    atol = _SCALAR_ATOL
-    na = len(a)
-    nxt_a = _cost_run_skips(a)
-    pruned_b: List[Solution] = []
-    for s in b:
-        cur: Optional[Solution] = s
-        cp = s.parity
-        climit = s.cost + atol
-        ccap = s.cap + atol
-        cq = s.q + atol
-        i = 0
-        while i < na:
-            k = a[i]
-            kp = k.parity
-            if kp != cp:
-                if kp > cp:
-                    break
-                i = nxt_a[i]
-                continue
-            if k.cost > climit:
-                break
-            if k.cap > ccap:
-                i = nxt_a[i]
-                continue
-            if k.q <= cq:
-                cur = _prune_one_gated(cur, k, False, prescreen)
-                if cur is None:
-                    break
-            i += 1
-        if cur is not None:
-            pruned_b.append(cur)
-    npb = len(pruned_b)
-    nxt_pb = _cost_run_skips(pruned_b)
-    pruned_a: List[Solution] = []
-    for s in a:
-        cur = s
-        cp = s.parity
-        climit = s.cost + atol
-        ccap = s.cap + atol
-        cq = s.q + atol
-        i = 0
-        while i < npb:
-            k = pruned_b[i]
-            kp = k.parity
-            if kp != cp:
-                if kp > cp:
-                    break
-                i = nxt_pb[i]
-                continue
-            if k.cost > climit:
-                break
-            if k.cap > ccap:
-                i = nxt_pb[i]
-                continue
-            if k.q <= cq:
-                cur = _prune_one_gated(cur, k, True, prescreen)
-                if cur is None:
-                    break
-            i += 1
-        if cur is not None:
-            pruned_a.append(cur)
-    return pruned_a + pruned_b
+    pruned_b = _scan(b, a, False, prescreen)
+    return _scan(a, pruned_b, True, prescreen) + pruned_b
 
 
 def mfs(

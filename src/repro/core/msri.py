@@ -274,10 +274,15 @@ class MSRIStats:
         self.solutions_after_pruning += kept
         self.max_set_size = max(self.max_set_size, kept)
         self.set_sizes[node] = kept
+        widest = self.max_segments
         for s in after:
-            widest = max_segment_count((s.arr, s.diam))
-            if widest > self.max_segments:
-                self.max_segments = widest
+            arr = s.arr
+            if arr is not None and len(arr._segments) > widest:
+                widest = len(arr._segments)
+            diam = s.diam
+            if diam is not None and len(diam._segments) > widest:
+                widest = len(diam._segments)
+        self.max_segments = widest
         return {
             "node": node,
             "generated": before,

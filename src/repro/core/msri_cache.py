@@ -53,7 +53,7 @@ from ..tech.parameters import Technology
 from .intervals import IntervalSet
 from .msri import MSRIOptions
 from .pwl import PWL
-from .solution import Placement, RootSolution, Solution, Trace
+from .solution import Placement, RootSolution, Solution, Trace, _solution
 
 __all__ = [
     "MSRICache",
@@ -301,15 +301,15 @@ def unpack_front(
     out: List[Solution] = []
     for cost, cap, q, parity, dom, arr, diam, placements in records:
         out.append(
-            Solution(
-                cost=cost,
-                cap=cap,
-                q=q,
-                arr=None if arr is None else PWL(arr),
-                diam=None if diam is None else PWL(diam),
-                domain=IntervalSet(dom),
-                trace=_unpack_trace(order, placements),
-                parity=parity,
+            _solution(
+                cost,
+                cap,
+                q,
+                None if arr is None else PWL(arr),
+                None if diam is None else PWL(diam),
+                IntervalSet(dom),
+                _unpack_trace(order, placements),
+                parity,
             )
         )
     return out

@@ -484,6 +484,10 @@ def _add_linear(
 ) -> Tuple[Segment, ...]:
     """Segments of :meth:`PWL.add_linear`, or of :meth:`PWL.add_scalar`
     when ``b`` is None (no slope addition, so a ``-0.0`` slope stays)."""
+    if len(segs) == 1:
+        # one segment is already canonical
+        lo, hi, intercept, slope = segs[0]
+        return (_checked(lo, hi, intercept + a, slope if b is None else slope + b),)
     if b is None:
         out = [_checked(lo, hi, intercept + a, slope) for lo, hi, intercept, slope in segs]
     else:
@@ -497,7 +501,33 @@ def _shifted_into(
     region: IntervalSet,
     linear: Optional[Tuple[float, float]] = None,
 ) -> Tuple[Segment, ...]:
-    """Segments of :meth:`PWL.shift_into`."""
+    """Segments of :meth:`PWL.shift_into`.
+
+    One segment into one interval is the common case; it runs the
+    stages' own expressions in their order, without the loops, since a
+    single segment is already canonical.
+    """
+    ivs = region._intervals
+    if len(segs) == 1 and len(ivs) == 1:
+        lo, hi, intercept, slope = segs[0]
+        hi = hi - c
+        if hi < 0.0:
+            return ()
+        lo = lo - c
+        seg = _checked(0.0 if 0.0 > lo else lo, hi, intercept + slope * c, slope)
+        if linear is not None:
+            lo, hi, intercept, slope = seg
+            seg = _checked(lo, hi, intercept + linear[0], slope + linear[1])
+        # _restrict: a covering interval keeps the segment, else clip it
+        lo, hi, intercept, slope = seg
+        (iv_lo, iv_hi), = ivs
+        if iv_lo <= lo and hi <= iv_hi:
+            return (seg,)
+        lo = iv_lo if iv_lo > lo else lo
+        hi = iv_hi if iv_hi < hi else hi
+        if lo <= hi:
+            return (_raw(Segment, (lo, hi, intercept, slope)),)
+        return ()
     segs = _shift(segs, c)
     if linear is not None:
         segs = _add_linear(segs, linear[0], linear[1])

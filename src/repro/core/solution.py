@@ -168,16 +168,16 @@ class Solution:
             return None
         if new_domain == self.domain:
             return self
-        return Solution(
-            cost=self.cost,
-            cap=self.cap,
-            q=self.q,
-            arr=self.arr.restrict(new_domain) if self.arr is not None else None,
-            diam=self.diam.restrict(new_domain) if self.diam is not None else None,
-            domain=new_domain,
-            trace=self.trace,
-            parity=self.parity,
-            uid=self.uid,
+        return _solution(
+            self.cost,
+            self.cap,
+            self.q,
+            self.arr.restrict(new_domain) if self.arr is not None else None,
+            self.diam.restrict(new_domain) if self.diam is not None else None,
+            new_domain,
+            self.trace,
+            self.parity,
+            self.uid,
         )
 
     def check_invariants(self) -> None:
@@ -200,6 +200,48 @@ class Solution:
             f"Solution(cost={self.cost:g}, cap={self.cap:.4f}, q={q}, "
             f"arr={arr}, diam={diam}, dom={len(self.domain)}iv)"
         )
+
+
+_new_solution = object.__new__
+_set_cost = Solution.__dict__["cost"].__set__
+_set_cap = Solution.__dict__["cap"].__set__
+_set_q = Solution.__dict__["q"].__set__
+_set_arr = Solution.__dict__["arr"].__set__
+_set_diam = Solution.__dict__["diam"].__set__
+_set_domain = Solution.__dict__["domain"].__set__
+_set_trace = Solution.__dict__["trace"].__set__
+_set_parity = Solution.__dict__["parity"].__set__
+_set_uid = Solution.__dict__["uid"].__set__
+
+
+def _solution(
+    cost: float,
+    cap: float,
+    q: float,
+    arr: Optional[PWL],
+    diam: Optional[PWL],
+    domain: IntervalSet,
+    trace: Trace,
+    parity: int,
+    uid: int = -1,
+) -> Solution:
+    """``Solution(...)`` with its slots written through their descriptors.
+
+    A frozen dataclass sets each field with ``object.__setattr__``, which
+    is most of the constructor's cost.  The uid rule is the
+    constructor's: a fresh ``next(_ids)`` unless ``uid`` is given.
+    """
+    s = _new_solution(Solution)
+    _set_cost(s, cost)
+    _set_cap(s, cap)
+    _set_q(s, q)
+    _set_arr(s, arr)
+    _set_diam(s, diam)
+    _set_domain(s, domain)
+    _set_trace(s, trace)
+    _set_parity(s, parity)
+    _set_uid(s, next(_ids) if uid < 0 else uid)
+    return s
 
 
 # -- LeafSolutions (Fig. 6) ------------------------------------------------------
@@ -228,14 +270,15 @@ def leaf_solution(
         )
         arr = PWL.linear(intercept, terminal.resistance, 0.0, c_max)
     q = terminal.downstream_delay if terminal.is_sink else NEVER
-    return Solution(
-        cost=cost,
-        cap=terminal.capacitance,
-        q=q,
-        arr=arr,
-        diam=None,
-        domain=IntervalSet.single(0.0, c_max),
-        trace=trace,
+    return _solution(
+        cost,
+        terminal.capacitance,
+        q,
+        arr,
+        None,
+        IntervalSet.single(0.0, c_max),
+        trace,
+        0,
     )
 
 
@@ -288,15 +331,15 @@ def augment_wire(
     trace = sol.trace
     if trace_placement is not None:
         trace = trace.extended(trace_placement)
-    return Solution(
-        cost=sol.cost + extra_cost,
-        cap=sol.cap + capacitance,
-        q=q,
-        arr=arr,
-        diam=diam,
-        domain=new_domain,
-        trace=trace,
-        parity=sol.parity,
+    return _solution(
+        sol.cost + extra_cost,
+        sol.cap + capacitance,
+        q,
+        arr,
+        diam,
+        new_domain,
+        trace,
+        sol.parity,
     )
 
 
@@ -328,15 +371,15 @@ def join(
         if pieces is None:
             return None
     domain, arr, diam = pieces
-    return Solution(
-        cost=s1.cost + s2.cost,
-        cap=s1.cap + s2.cap,
-        q=max(s1.q, s2.q),
-        arr=arr,
-        diam=diam,
-        domain=domain,
-        trace=Trace.merged(s1.trace, s2.trace),
-        parity=s1.parity,
+    return _solution(
+        s1.cost + s2.cost,
+        s1.cap + s2.cap,
+        max(s1.q, s2.q),
+        arr,
+        diam,
+        domain,
+        Trace.merged(s1.trace, s2.trace),
+        s1.parity,
     )
 
 
@@ -416,15 +459,15 @@ def apply_repeater(
     diam = None
     if diam_b is not None:
         diam = PWL.constant(diam_b, 0.0, c_max)
-    return Solution(
-        cost=cost,
-        cap=rep.c_a,
-        q=q,
-        arr=arr,
-        diam=diam,
-        domain=IntervalSet.single(0.0, c_max),
-        trace=sol.trace.extended(Placement(node, rep)),
-        parity=sol.parity ^ (1 if rep.is_inverting else 0),
+    return _solution(
+        cost,
+        rep.c_a,
+        q,
+        arr,
+        diam,
+        IntervalSet.single(0.0, c_max),
+        sol.trace.extended(Placement(node, rep)),
+        sol.parity ^ (1 if rep.is_inverting else 0),
     )
 
 

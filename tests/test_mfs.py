@@ -6,16 +6,24 @@ solution that was Pareto-minimal at ``x`` in the original set must still be
 five coordinates.
 """
 
+import importlib
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.check.contracts import checking
 from repro.core.intervals import IntervalSet
 from repro.core.mfs import mfs, mfs_pairwise, prune_one
-from repro.core.pwl import PWL
+from repro.core.msri import insert_repeaters
+from repro.core.pwl import PWL, Segment
 from repro.core.solution import Solution
+from repro.netgen import paper_instance, paper_technology, repeater_insertion_options
 from repro.tech import NEVER
+
+# the package re-exports the function ``mfs`` under the module's name
+mfs_module = importlib.import_module("repro.core.mfs")
 
 C_MAX = 10.0
 
@@ -217,3 +225,148 @@ def test_property_mfs_idempotent_size(seed, n):
     # a second pass may merge nothing new: same coverage, no growth
     assert len(twice) <= len(once)
     assert_mfs_sound(once, twice, np.linspace(0, C_MAX, 11))
+
+
+# -- the indexed killer scan against the linear walk -------------------------
+#
+# ``_merge`` finds each victim's killers through per-run columns
+# (docs/ALGORITHMS.md §17).  The oracle below is the linear walk it
+# replaced: it must make the very same ``_prune_one_gated`` calls, in the
+# same order, and so return the very same solutions.
+
+
+def _linear_run_skips(front):
+    n = len(front)
+    nxt = [n] * n
+    for i in range(n - 2, -1, -1):
+        s, t = front[i], front[i + 1]
+        nxt[i] = nxt[i + 1] if (s.parity, s.cost) == (t.parity, t.cost) else i + 1
+    return nxt
+
+
+def _linear_scan(victims, killers, strict, prescreen):
+    atol = mfs_module._SCALAR_ATOL
+    n = len(killers)
+    nxt = _linear_run_skips(killers)
+    out = []
+    for s in victims:
+        cur = s
+        i = 0
+        while i < n:
+            k = killers[i]
+            if k.parity != s.parity:
+                if k.parity > s.parity:
+                    break
+                i = nxt[i]
+                continue
+            if k.cost > s.cost + atol:
+                break
+            if k.cap > s.cap + atol:
+                i = nxt[i]
+                continue
+            if k.q <= s.q + atol:
+                cur = mfs_module._prune_one_gated(cur, k, strict, prescreen)
+                if cur is None:
+                    break
+            i += 1
+        if cur is not None:
+            out.append(cur)
+    return out
+
+
+def _linear_merge(a, b, prescreen):
+    pruned_b = _linear_scan(b, a, False, prescreen)
+    return _linear_scan(a, pruned_b, True, prescreen) + pruned_b
+
+
+def _record_gated(monkeypatch):
+    calls = []
+    real = mfs_module._prune_one_gated
+
+    def recorder(s, by, strict, prescreen):
+        calls.append((s.uid, by.uid, strict))
+        return real(s, by, strict, prescreen)
+
+    monkeypatch.setattr(mfs_module, "_prune_one_gated", recorder)
+    return calls
+
+
+def _solution_bits(s):
+    funcs = tuple(
+        None if f is None else tuple(tuple(v.hex() for v in seg) for seg in f.segments)
+        for f in (s.arr, s.diam)
+    )
+    domain = tuple((lo.hex(), hi.hex()) for lo, hi in s.domain.intervals)
+    return s.uid, domain, funcs
+
+
+#: Domains the generated fronts draw from, holey ones included.
+_DOMAINS = (
+    ((0.0, C_MAX),),
+    ((0.0, 4.0), (6.0, C_MAX)),
+    ((2.0, 8.0),),
+    ((0.0, 3.0), (5.0, 5.0), (7.0, 9.0)),
+)
+
+_line = st.tuples(st.integers(0, 40), st.integers(0, 4))
+
+
+def _holey_line(intercept, slope, domain):
+    return PWL([Segment(lo, hi, float(intercept), float(slope)) for lo, hi in domain])
+
+
+@st.composite
+def _front_solutions(draw, max_size=24):
+    """Solutions with integer-cost ties, equal caps, ``q = NEVER``, both
+    parities and holey domains, sorted by the pruner's key."""
+    out = []
+    for _ in range(draw(st.integers(0, max_size))):
+        domain = draw(st.sampled_from(_DOMAINS))
+        arr = draw(st.none() | _line)
+        diam = draw(st.none() | _line)
+        out.append(Solution(
+            cost=float(draw(st.integers(0, 3))),
+            cap=draw(st.sampled_from([0.1, 0.2, 0.2, 0.5])),
+            q=draw(st.sampled_from([NEVER, NEVER, 10.0, 20.0, 30.0])),
+            arr=None if arr is None else _holey_line(*arr, domain),
+            diam=None if diam is None else _holey_line(*diam, domain),
+            domain=IntervalSet.from_pairs(domain),
+            parity=draw(st.sampled_from([0, 0, 1])),
+        ))
+    return sorted(out, key=lambda s: (s.parity, s.cost, s.cap, s.q, s.uid))
+
+
+@given(front=_front_solutions(), cut=st.floats(0.0, 1.0), prescreen=st.booleans())
+@settings(max_examples=200, deadline=None)
+def test_indexed_merge_matches_linear_scan(front, cut, prescreen):
+    mid = int(cut * len(front))
+    a, b = front[:mid], front[mid:]
+    with pytest.MonkeyPatch.context() as m:
+        calls = _record_gated(m)
+        want = _linear_merge(a, b, prescreen)
+        linear_calls = list(calls)
+        calls.clear()
+        got = mfs_module._merge(a, b, prescreen)
+    assert calls == linear_calls
+    assert [_solution_bits(s) for s in got] == [_solution_bits(s) for s in want]
+
+
+def test_indexed_merge_matches_linear_scan_on_paper_net(monkeypatch):
+    """One Table II net: the same gated calls as the linear walk, and as
+    many as the linear walk made (1849) before the index replaced it."""
+    tech = paper_technology()
+    options = repeater_insertion_options()
+    sequences = []
+    with checking(False):
+        for merge in (_linear_merge, mfs_module._merge):
+            monkeypatch.setattr(mfs_module, "_merge", merge)
+            calls = _record_gated(monkeypatch)
+            insert_repeaters(paper_instance(3, 5), tech, options)
+            first = {}
+            sequences.append([
+                (first.setdefault(v, len(first)), first.setdefault(k, len(first)), strict)
+                for v, k, strict in calls
+            ])
+            monkeypatch.undo()
+    assert sequences[0] == sequences[1]
+    assert len(sequences[1]) == 1849

@@ -389,8 +389,10 @@ def _ref_shift(segs, c):
 
 
 def _ref_add_linear(segs, a, b):
+    """``b`` None adds no slope (``add_scalar``), so a ``-0.0`` slope stays."""
     return _ref_canonical(
-        Segment(s.lo, s.hi, s.intercept + a, s.slope + b) for s in segs
+        Segment(s.lo, s.hi, s.intercept + a, s.slope if b is None else s.slope + b)
+        for s in segs
     )
 
 
@@ -519,6 +521,74 @@ def test_scalar_and_linear_adds_match_reference(segs, a, scale):
     assert _bits(f.add_scalar(a * scale).segments) == _bits(_ref_canonical(
         Segment(s.lo, s.hi, s.intercept + a * scale, s.slope) for s in f.segments
     ))
+
+
+#: Coefficients with both signed zeros drawn often.
+_coefficient = st.sampled_from([0.0, -0.0]) | st.floats(-1.0, 1.0)
+
+
+@st.composite
+def one_segments(draw):
+    lo, hi = sorted(draw(st.lists(st.floats(0.0, 100.0), min_size=2, max_size=2)))
+    scale = draw(_scale)
+    return Segment(lo, hi, draw(_coefficient) * scale, draw(_coefficient) * scale)
+
+
+def _ref_shifted_into(segs, c, region, linear):
+    ref = _ref_shift(segs, c)
+    if linear is not None:
+        ref = _ref_add_linear(ref, *linear)
+    return _ref_restrict(ref, region)
+
+
+@given(one_segments(), st.sampled_from([0.0, -0.0]) | st.floats(0.0, 120.0),
+       st.floats(-10.0, 60.0), st.floats(0.0, 60.0),
+       st.none() | st.tuples(_coefficient, _coefficient))
+@settings(max_examples=400)
+def test_one_segment_stages_match_general_chain(seg, c, iv_lo, width, linear):
+    """The one-segment, one-interval closed forms give the stage chain's bits."""
+    region = IntervalSet.single(iv_lo, iv_lo + width)
+    got = pwl_module._shifted_into((seg,), c, region, linear)
+    assert _bits(got) == _bits(_ref_shifted_into((seg,), c, region, linear))
+    a, b = linear if linear is not None else (c, None)
+    assert _bits(pwl_module._add_linear((seg,), a, b)) == _bits(
+        _ref_add_linear((seg,), a, b)
+    )
+
+
+@pytest.mark.parametrize("seg, c, region, linear, want", [
+    # signed zeros follow each stage's arithmetic: a shift by 0.0 keeps
+    # -0.0 ends and intercepts, a shift by -0.0 turns them into 0.0
+    (Segment(-0.0, 5.0, -0.0, -0.0), 0.0, (-0.0, 5.0), None,
+     [(-0.0, 5.0, -0.0, -0.0)]),
+    (Segment(-0.0, 5.0, -0.0, -0.0), -0.0, (-0.0, 9.0), (-0.0, -0.0),
+     [(0.0, 5.0, 0.0, -0.0)]),
+    # a region that clips the segment on both sides
+    (Segment(0.0, 10.0, 1.0, 2.0), 1.0, (2.0, 5.0), (0.5, 1.0),
+     [(2.0, 5.0, 3.5, 3.0)]),
+    # an end tied with the region's keeps the segment's own signed zero
+    (Segment(-0.0, 10.0, 1.0, 2.0), 0.0, (0.0, 5.0), None,
+     [(-0.0, 5.0, 1.0, 2.0)]),
+    # a region past the shifted segment leaves nothing
+    (Segment(0.0, 10.0, 1.0, 2.0), 1.0, (9.5, 12.0), None, []),
+    # hi - c < 0: the segment shifts off the domain entirely
+    (Segment(0.0, 1.0, 1.0, 2.0), 2.0, (0.0, 5.0), (1.0, 1.0), []),
+])
+def test_one_segment_shifted_into_cases(seg, c, region, linear, want):
+    region = IntervalSet.single(*region)
+    got = pwl_module._shifted_into((seg,), c, region, linear)
+    assert _bits(got) == _bits(want)
+    assert _bits(got) == _bits(_ref_shifted_into((seg,), c, region, linear))
+
+
+def test_one_segment_add_scalar_keeps_negative_zero_slope():
+    seg = Segment(0.0, 1.0, 1.0, -0.0)
+    assert _bits(pwl_module._add_linear((seg,), 2.0, None)) == _bits(
+        [(0.0, 1.0, 3.0, -0.0)]
+    )
+    assert _bits(pwl_module._add_linear((seg,), 2.0, 0.0)) == _bits(
+        [(0.0, 1.0, 3.0, 0.0)]
+    )
 
 
 @given(segment_lists(), regions())

@@ -1,5 +1,6 @@
 """Unit tests for the DP solution characterization and its combinators."""
 
+import dataclasses
 import math
 
 import pytest
@@ -10,6 +11,7 @@ from repro.core.solution import (
     Placement,
     Solution,
     Trace,
+    _solution,
     apply_repeater,
     augment_wire,
     evaluate_at_root,
@@ -278,3 +280,55 @@ class TestRestriction:
         r = s.restricted(IntervalSet.single(1.0, 2.0))
         assert r.uid == s.uid
         r.check_invariants()
+
+
+class TestSolutionFactory:
+    """``_solution`` builds the same frozen value as ``Solution(...)``."""
+
+    ARGS = (
+        2.0,
+        0.5,
+        30.0,
+        PWL.linear(1.0, 2.0, 0.0, C_MAX),
+        PWL.constant(-0.0, 0.0, C_MAX),
+        IntervalSet.single(0.0, C_MAX),
+        Trace().extended(Placement(3, "rep")),
+        1,
+    )
+
+    def test_same_fields_as_constructor(self):
+        made = _solution(*self.ARGS)
+        built = Solution(*self.ARGS)
+        names = [f.name for f in dataclasses.fields(Solution) if f.name != "uid"]
+        assert type(made) is Solution
+        assert [getattr(made, n) for n in names] == [getattr(built, n) for n in names]
+
+    def test_equal_and_hashed_as_constructor(self):
+        built = Solution(*self.ARGS)
+        made = _solution(*self.ARGS, built.uid)
+        assert made == built
+        assert hash(made) == hash(built)
+        assert made != _solution(*self.ARGS)  # a fresh uid
+
+    def test_uids_increase_in_build_order(self):
+        uids = [
+            _solution(*self.ARGS).uid,
+            Solution(*self.ARGS).uid,
+            _solution(*self.ARGS).uid,
+        ]
+        assert uids == sorted(uids) and len(set(uids)) == 3
+        assert _solution(*self.ARGS, 7).uid == 7
+
+    def test_frozen(self):
+        made = _solution(*self.ARGS)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            made.cost = 1.0
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            made.uid = 1
+
+    def test_replace(self):
+        made = _solution(*self.ARGS)
+        moved = dataclasses.replace(made, cost=5.0)
+        assert type(moved) is Solution
+        assert moved.cost == 5.0 and moved.uid == made.uid
+        assert dataclasses.replace(moved, cost=made.cost) == made
