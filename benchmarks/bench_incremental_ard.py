@@ -1,17 +1,17 @@
-"""Incremental ARD vs per-probe full recompute on greedy insertion.
+"""Dirty-path ARD vs per-probe full recompute on greedy insertion.
 
 The greedy baseline probes every (insertion point, oriented repeater)
 candidate per accepted step; historically each probe paid a full O(n)
-Fig. 2 pass, making one step O(n²).  The persistent
-:class:`~repro.rctree.incremental.IncrementalARD` engine answers each probe
+Fig. 2 pass, making one step O(n²).  Greedy's default engine, the
+persistent :class:`~repro.rctree.flat.FlatARDEngine`, answers each probe
 with a dirty root-path re-propagation instead.  This benchmark runs the
 *identical* greedy loop under both oracles on a 500-terminal net and
 reports the wall-clock ratio.
 
-Because both oracles share the record combine step, the two trajectories
-(every ARD value, cost, and assignment) must be **bit-identical** — the
-benchmark asserts that before it asserts the speedup, so a fast-but-wrong
-engine cannot pass.
+Because the flat kernel ports the reference record combine step, the two
+trajectories (every ARD value, cost, and assignment) must be
+**bit-identical** — the benchmark asserts that before it asserts the
+speedup, so a fast-but-wrong engine cannot pass.
 
 Run directly (CI's ``incremental-smoke`` job)::
 
@@ -36,7 +36,7 @@ from repro.rctree.engine import EvalContext
 
 
 class FullRecomputeEngine:
-    """The pre-incremental oracle: one fresh full Fig. 2 pass per probe."""
+    """The dirty-path-free oracle: one fresh full Fig. 2 pass per probe."""
 
     def __init__(self, tree, tech):
         self._tree = tree
@@ -79,10 +79,10 @@ def run_comparison(terminals: int = 500, steps: int = 2, seed: int = 0):
             f"trajectory lengths diverge: {len(fast)} vs {len(slow)}"
         )
     for k, (a, b) in enumerate(zip(fast, slow)):
-        # exact comparison is the point: incremental must be bit-identical
+        # exact comparison is the point: the dirty path must be bit-identical
         if a.ard != b.ard or a.cost != b.cost or a.assignment != b.assignment:  # repro: noqa[R001]
             raise AssertionError(
-                f"step {k}: incremental ({a.ard}, {a.cost}) != "
+                f"step {k}: dirty path ({a.ard}, {a.cost}) != "
                 f"full recompute ({b.ard}, {b.cost})"
             )
 
@@ -101,7 +101,7 @@ def run_comparison(terminals: int = 500, steps: int = 2, seed: int = 0):
 
 def render(report) -> str:
     table = Table(
-        "incremental ARD vs full recompute — greedy insertion oracle",
+        "dirty-path ARD (flat engine) vs full recompute — greedy insertion oracle",
         ["metric", "value"],
     )
     table.add_row("terminals", report["terminals"])
@@ -111,7 +111,7 @@ def render(report) -> str:
     table.add_row("oracle probes", report["probes"])
     table.add_row("full recompute wall-clock (s)", f"{report['t_full']:.2f}")
     table.add_row(
-        "incremental wall-clock (s)", f"{report['t_incremental']:.2f}"
+        "dirty-path wall-clock (s)", f"{report['t_incremental']:.2f}"
     )
     table.add_row("speedup", f"{report['speedup']:.1f}x")
     table.add_row("final ARD (ps)", f"{report['final_ard']:.1f}")
@@ -131,7 +131,7 @@ def main(argv=None) -> int:
         "--assert-speedup",
         type=float,
         default=None,
-        help="fail unless incremental beats full recompute by this factor",
+        help="fail unless the dirty path beats full recompute by this factor",
     )
     parser.add_argument(
         "--no-save", action="store_true", help="skip writing benchmarks/results"

@@ -1,10 +1,11 @@
-"""Disabled-observability overhead on the incremental-ARD greedy workload.
+"""Disabled-observability overhead on the dirty-path ARD greedy workload.
 
 ``repro.obs`` instrumentation is compiled into the ARD/MSRI core and the
-incremental engine unconditionally; the contract (docs/OBSERVABILITY.md)
-is that it costs **under 2%** while disabled.  This benchmark holds that
-gate two ways on the same workload as ``bench_incremental_ard.py``
-(greedy insertion driven by :class:`IncrementalARD`):
+flat engine unconditionally; the contract (docs/OBSERVABILITY.md) is that
+it costs **under 2%** while disabled.  This benchmark holds that gate two
+ways on the same workload as ``bench_incremental_ard.py`` (greedy
+insertion driven by its default engine,
+:class:`~repro.rctree.flat.FlatARDEngine`):
 
 1. **Measured ratio** — interleaved min-of-N wall-clock of the workload
    with observability disabled vs. enabled.  The disabled time is the

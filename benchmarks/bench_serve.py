@@ -34,7 +34,7 @@ def run_serve_load(
     sessions: int = 8,
     edits: int = 50,
     seed: int = 0,
-    engine: str = "incremental",
+    engine: str = "flat",
 ):
     """One measured load-generator pass against a fresh in-process server."""
     server, stop = start_in_thread(ServeConfig(engine=engine))
@@ -85,7 +85,7 @@ def main(argv=None) -> int:
     parser.add_argument("--sessions", type=int, default=8)
     parser.add_argument("--edits", type=int, default=50)
     parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--engine", default="incremental")
+    parser.add_argument("--engine", default="flat")
     parser.add_argument(
         "--assert-p99-ms",
         type=float,

@@ -66,7 +66,7 @@ from .netgen import (
 from .rctree import (
     ElmoreAnalyzer,
     EvalContext,
-    IncrementalARD,
+    FlatARDEngine,
     RoutingTree,
     SlewAnalyzer,
     SlewModel,
@@ -105,7 +105,7 @@ __all__ = [
     "make_driver_options",
     "ElmoreAnalyzer",
     "EvalContext",
-    "IncrementalARD",
+    "FlatARDEngine",
     "TimingEngine",
     "SlewAnalyzer",
     "SlewModel",

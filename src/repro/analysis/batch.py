@@ -28,7 +28,6 @@ def _evaluate_shard(
     trees: Sequence[RoutingTree],
     tech: Technology,
     contexts: Optional[Sequence[Optional[EvalContext]]],
-    backend: str,
     include_timing: bool,
 ) -> List[ARDResult]:
     """One worker's share of the batch (module-level for picklability)."""
@@ -36,7 +35,6 @@ def _evaluate_shard(
         trees,
         tech,
         contexts=contexts,
-        backend=backend,
         include_timing=include_timing,
     )
 
@@ -46,7 +44,6 @@ def evaluate_batch_parallel(
     tech: Technology,
     *,
     contexts: Union[None, EvalContext, Sequence[Optional[EvalContext]]] = None,
-    backend: str = "auto",
     include_timing: bool = False,
     workers: int = 0,
     shard_size: int = 64,
@@ -85,7 +82,6 @@ def evaluate_batch_parallel(
             nets,
             tech,
             contexts=ctx_list,
-            backend=backend,
             include_timing=include_timing,
             cache=cache,
         )
@@ -101,7 +97,6 @@ def evaluate_batch_parallel(
                     nets[start:stop],
                     tech,
                     ctx_list[start:stop],
-                    backend,
                     include_timing,
                 ),
             )

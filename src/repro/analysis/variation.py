@@ -81,16 +81,17 @@ def monte_carlo_ard(
     model: VariationModel = VariationModel(),
     samples: int = 100,
     seed: int = 0,
-    engine: str = "incremental",
+    engine: str = "flat",
 ) -> VariationResult:
     """Sample the ARD under die-to-die parameter variation.
 
     All samples run on one persistent engine: a sample is a
     :meth:`set_wire_scale` (die-to-die wire corner) plus per-terminal and
     per-repeater device overrides — no tree or engine rebuild per sample.
-    ``engine`` names the registered backend carrying the sweep (default
-    ``"incremental"``; ``"flat"`` runs the array kernel instead — see
-    :func:`repro.rctree.registry.engine_names`).  Requires numpy.
+    ``engine`` names the registered engine carrying the sweep (default
+    ``"flat"``; it needs the edit ops, so of the registry's names only
+    ``"flat"`` qualifies — see :func:`repro.rctree.registry.engine_names`).
+    Requires numpy.
     """
     if np is None:
         raise RuntimeError("monte_carlo_ard requires numpy (pip install numpy)")

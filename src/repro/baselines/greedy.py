@@ -3,9 +3,9 @@
 Repeatedly inserts the single (position, oriented repeater) choice that most
 reduces the current ARD, until no insertion helps (or a cost budget runs
 out).  Candidate trials run on a persistent
-:class:`~repro.rctree.incremental.IncrementalARD` engine by default, so one
-trial costs one dirty-path re-propagation (O(depth · branching)) instead of
-a full O(n) pass — the outer loop drops from O(n²) per step to near-linear.
+:class:`~repro.rctree.flat.FlatARDEngine` by default, so one trial costs
+one dirty-path re-propagation (O(depth · branching)) instead of a full
+O(n) pass — the outer loop drops from O(n²) per step to near-linear.
 Pass any other :class:`~repro.rctree.engine.TimingEngine` with mutation ops
 via ``engine`` to change the oracle (the benchmark uses a full-recompute
 engine to measure exactly this speedup).
@@ -22,7 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
-from ..rctree.incremental import IncrementalARD
+from ..rctree.flat import FlatARDEngine
 from ..rctree.topology import RoutingTree
 from ..tech.buffers import Repeater, RepeaterLibrary
 from ..tech.parameters import Technology
@@ -56,12 +56,12 @@ def greedy_insertion(
 
     ``engine`` must expose ``evaluate()`` and ``set_assignment(node, rep)``
     over ``tree`` with an initially empty assignment; the default is a
-    fresh :class:`~repro.rctree.incremental.IncrementalARD`.  A string
+    fresh :class:`~repro.rctree.flat.FlatARDEngine`.  A string
     names a registered engine instead
     (:func:`repro.rctree.registry.engine_names`, e.g. ``"flat"``).
     """
     if engine is None:
-        engine = IncrementalARD(tree, tech)
+        engine = FlatARDEngine(tree, tech)
     elif isinstance(engine, str):
         from ..rctree.registry import make_engine
 

@@ -45,7 +45,6 @@ __all__ = [
     "verify_msri_equivalence",
     "verify_root_front",
     "verify_ard_consistency",
-    "verify_incremental_consistency",
     "verify_flat_consistency",
 ]
 
@@ -346,29 +345,6 @@ def verify_ard_consistency(
             )
 
 
-def verify_incremental_consistency(result, engine) -> None:
-    """An incremental evaluation equals a fresh full pass — *bit for bit*.
-
-    ``engine.fresh_result()`` rebuilds every record from the engine's
-    current state with the same shared combine step, so value and critical
-    pair must match exactly (no tolerance): any difference is a
-    dirty-tracking bug in the incremental path, never float drift.
-    """
-    fresh = engine.fresh_result()
-    both_undefined = not result.is_finite and not fresh.is_finite
-    # exact comparison is the contract: the two paths share one arithmetic
-    if not both_undefined and result.value != fresh.value:  # repro: noqa[R001]
-        raise ContractViolation(
-            f"incremental ARD {result.value!r} != fresh full pass "
-            f"{fresh.value!r} (dirty-path invalidation bug)"
-        )
-    if (result.source, result.sink) != (fresh.source, fresh.sink):
-        raise ContractViolation(
-            f"incremental critical pair ({result.source}, {result.sink}) != "
-            f"fresh full pass ({fresh.source}, {fresh.sink})"
-        )
-
-
 def verify_flat_consistency(result, state) -> None:
     """A flat-kernel evaluation equals the reference record pass — *bit for bit*.
 
@@ -376,8 +352,8 @@ def verify_flat_consistency(result, state) -> None:
     the flat engine's current knobs; the reference ``build_records`` /
     ``finish_root`` replay it from scratch.  The flat kernel is a port of
     that exact arithmetic, so value and critical pair must match with no
-    tolerance: any difference is a compilation or kernel porting bug, never
-    float drift.
+    tolerance: any difference is a compilation, kernel porting or
+    dirty-path bug, never float drift.
     """
     from ..rctree.incremental import build_records, finish_root
 

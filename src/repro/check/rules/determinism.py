@@ -1,7 +1,7 @@
 """R009 — nondeterminism sources inside engine-reachable compute.
 
 The differential guarantees of the test suite (serial ≡ parallel
-campaigns, incremental ≡ full-pass ARD, reference ≡ batched kernels) are
+campaigns, dirty-path ≡ full-pass ARD, reference ≡ batched kernels) are
 *bit-identical* claims.  They die the moment engine-reachable compute
 consults anything that varies between runs:
 

@@ -14,7 +14,7 @@ classes survive local testing and explode only under ``workers >= 1``:
   process-wide obs/contract switches (``set_enabled``) produces state that
   silently diverges between workers and breaks the executor's
   bit-identical-at-any-worker-count guarantee — the precondition for the
-  concurrent `IncrementalARD` session server.
+  concurrent `FlatARDEngine` session server.
 
 Module-level observability instruments (``obs.Counter`` / ``Histogram``
 assignments) are exempt: their per-process buffers are snapshotted and

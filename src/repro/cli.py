@@ -162,8 +162,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--engine",
         choices=sorted(engine_names()),
         default="reference",
-        help="timing engine backend (default: reference; 'flat' runs the "
-        "array kernel, 'flat-numpy' forces the vectorized compiler)",
+        help="timing engine (default: reference; 'flat' runs the "
+        "array kernel)",
     )
 
     o = sub.add_parser("optimize", help="run the MSRI optimizer")
@@ -221,9 +221,9 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument(
         "--engine",
         choices=sorted(engine_names()),
-        default="incremental",
+        default="flat",
         help="timing engine scoring candidate topologies "
-        "(default: incremental; ignored with --objective msri)",
+        "(default: flat; ignored with --objective msri)",
     )
     s.add_argument(
         "--objective",
@@ -339,9 +339,9 @@ def build_parser() -> argparse.ArgumentParser:
     v.add_argument(
         "--engine",
         choices=sorted(editable_engine_names()),
-        default="incremental",
+        default="flat",
         help="default session engine (editable engines only; "
-        "default: incremental)",
+        "default: flat)",
     )
     v.add_argument(
         "--timeout", type=float, default=30.0, help="per-request timeout (s)"

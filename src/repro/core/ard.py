@@ -30,10 +30,11 @@ annotates on its example solutions.
 
 The DFS combine step itself lives in :mod:`repro.rctree.incremental` as an
 algebra over *linear records* (candidates parameterized by the subtree's
-external load), shared verbatim with :class:`~repro.rctree.incremental.
-IncrementalARD` — which is why the incremental engine is bit-identical to
-this full pass.  This module evaluates those records at the analyzer's
-Eq. 2 loads to materialize the classic per-node scalar ``timing`` table.
+external load).  The editable :class:`~repro.rctree.flat.FlatARDEngine`
+ports that combine step to flat columns and re-runs it over dirty root
+paths, bit-identically to this full pass.  This module evaluates the
+records at the analyzer's Eq. 2 loads to materialize the classic per-node
+scalar ``timing`` table.
 """
 
 from __future__ import annotations

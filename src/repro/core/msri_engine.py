@@ -17,8 +17,8 @@ layers:
    last solve; an edit (:meth:`set_terminal`, :meth:`set_edge_length`,
    :meth:`set_wire_width`) invalidates only the fronts on the root path
    above the dirty vertex, the same trick
-   :class:`~repro.rctree.incremental.IncrementalARD` plays on its linear
-   records — everything off that path is reusable because the DP is a pure
+   :class:`~repro.rctree.flat.FlatARDEngine` plays on its linear records —
+   everything off that path is reusable because the DP is a pure
    bottom-up fold.
 
 Both run the cold DP's own driver (:func:`repro.core.msri._solve`), which

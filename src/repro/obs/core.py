@@ -2,7 +2,7 @@
 
 The paper's central claims are *algorithmic-shape* claims — the Fig. 2 ARD
 pass is linear, MSRI pruning keeps the candidate front small, the
-incremental engine re-propagates only dirty root paths.  This module gives
+editable flat engine re-propagates only dirty root paths.  This module gives
 the repository the primitives to show those shapes at runtime:
 
 * :func:`trace` — a nestable span context manager with monotonic timing.

@@ -1,4 +1,4 @@
-"""Routing-tree data structures and delay engines (Elmore, slew, incremental, flat)."""
+"""Routing-tree data structures and delay engines (Elmore, slew, flat)."""
 
 from .builder import TreeBuilder, manhattan
 from .elmore import ElmoreAnalyzer
@@ -10,7 +10,6 @@ from .engine import (
     TimingEngine,
 )
 from .flat import (
-    HAVE_NUMPY,
     FlatARDEngine,
     FlatNet,
     FlatNetCache,
@@ -18,7 +17,6 @@ from .flat import (
     compile_net,
     evaluate_batch,
 )
-from .incremental import IncrementalARD
 from .registry import (
     editable_engine_names,
     engine_names,
@@ -38,8 +36,6 @@ __all__ = [
     "TimingEngine",
     "EditableEngine",
     "ElmoreAnalyzer",
-    "IncrementalARD",
-    "HAVE_NUMPY",
     "FlatARDEngine",
     "FlatNet",
     "FlatNetCache",

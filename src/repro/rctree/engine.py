@@ -22,11 +22,10 @@ convention.  This module defines the one surface they all share:
   return them without importing the optimizer core.
 
 Engines implementing ``TimingEngine``: ``ElmoreAnalyzer`` (full Fig. 2
-pass), ``SlewAnalyzer`` (slew-aware pair enumeration), ``IncrementalARD``
-(persistent, edit-friendly Fig. 2 records), ``FlatARDEngine`` (array
-kernel) and ``SimulationEngine`` (event-driven cross-check).
-``IncrementalARD`` and ``FlatARDEngine`` additionally implement
-``EditableEngine``.
+pass), ``SlewAnalyzer`` (slew-aware pair enumeration), ``FlatARDEngine``
+(array kernel with dirty-root-path re-propagation) and
+``SimulationEngine`` (event-driven cross-check).  ``FlatARDEngine``
+additionally implements ``EditableEngine``.
 
 As of v2.0 the engines take their knobs exclusively as one keyword-only
 ``context=EvalContext(...)``; the pre-context per-knob shims
@@ -83,8 +82,9 @@ class ARDResult:
     ``sink`` are the node indices of the critical pair achieving the ARD.
     ``timing`` exposes the per-subtree table for diagnostics and tests; only
     the full :func:`repro.core.ard.compute_ard` pass populates it — engines
-    that never materialize per-node scalars (``IncrementalARD``,
-    ``SlewAnalyzer``, ``SimulationEngine``) return it empty.
+    that never materialize per-node scalars (``SlewAnalyzer``,
+    ``SimulationEngine``, ``FlatARDEngine`` unless built with
+    ``include_timing=True``) return it empty.
     """
 
     value: float
@@ -146,9 +146,8 @@ class TimingEngine(Protocol):
 class EditableEngine(TimingEngine, Protocol):
     """A persistent :class:`TimingEngine` that accepts in-place edits.
 
-    This is the shared edit surface of :class:`~repro.rctree.incremental.
-    IncrementalARD` and :class:`~repro.rctree.flat.FlatARDEngine`, and the
-    contract the session server (``repro.serve``) dispatches client edit
+    This is the edit surface of :class:`~repro.rctree.flat.FlatARDEngine`
+    and the contract the session server (``repro.serve``) dispatches client edit
     streams against.  Every mutation invalidates the cached result; the
     next :meth:`TimingEngine.evaluate` reflects the edit.  Edits validate
     eagerly — a rejected edit raises (``ValueError`` / ``TypeError``)

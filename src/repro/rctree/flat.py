@@ -26,12 +26,14 @@ locks this down over a 500-net corpus and the ``REPRO_CHECK=1`` contract
 (:func:`repro.check.contracts.verify_flat_consistency`) re-asserts it on
 every evaluation in checked runs.
 
-**numpy is optional.**  The kernel loops are pure Python always.  When
-numpy is importable, the *compile* step (lowering wire and terminal columns)
-can vectorize; elementwise float64 arithmetic with the same operand order
-is IEEE-identical to the scalar expressions, so the two backends produce
-bit-identical ``FlatNet`` columns — and hence bit-identical results.  The
-Eq. 2 sibling skip-sums are deliberately **not** vectorized: a
+**One editable engine.**  :class:`FlatARDEngine` keeps the kernel's
+columns between evaluations.  Each edit patches the compiled columns and
+marks its dirty nodes; :meth:`FlatARDEngine.evaluate` re-runs the same
+kernel loop over the dirty root paths only, deepest preorder position
+first, and stops at the first ancestor whose entries come out unchanged
+(docs/ALGORITHMS.md §9-10).  A full pass is that loop over the whole
+reverse preorder, so there is one combine step, not two.  The Eq. 2
+sibling skip-sums are deliberately **not** rewritten as subtractions: a
 subtract-the-child trick differs in floats from the reference's exact
 skip-sum for fan-out > 2, which would break the bit-identity contract.
 
@@ -45,6 +47,7 @@ top via the campaign executor.
 from __future__ import annotations
 
 import hashlib
+import heapq
 from array import array
 from collections import OrderedDict
 from typing import Dict, List, Optional, Sequence, Tuple, Union
@@ -66,13 +69,7 @@ from .incremental import (
 )
 from .topology import NodeKind, RoutingTree
 
-try:  # numpy accelerates compilation only; the kernel never needs it
-    import numpy as _np
-except ImportError:  # pragma: no cover - exercised by the no-numpy CI leg
-    _np = None
-
 __all__ = [
-    "HAVE_NUMPY",
     "FlatNet",
     "FlatARDEngine",
     "FlatNetCache",
@@ -81,21 +78,19 @@ __all__ = [
     "evaluate_batch",
 ]
 
-HAVE_NUMPY = _np is not None
-
-#: ``backend="auto"`` vectorizes compilation only at or above this node
-#: count — below it the array round-trip costs more than it saves.
-AUTO_NUMPY_MIN_NODES = 512
-
 # Observability metrics (naming contract: docs/OBSERVABILITY.md).  The
 # compile counters expose the cache economics of batched evaluation; the
-# kernel counter divided by the ``flat.batch`` span duration is the
-# nodes-per-second throughput of the flat pass.  All free while REPRO_OBS
-# is off.
+# kernel counter (nodes swept by full passes) divided by the ``flat.batch``
+# span duration is the nodes-per-second throughput of the flat pass; the
+# refresh metrics count dirty-path sweeps and show that an edit re-sweeps
+# only its dirty root paths.  All free while REPRO_OBS is off.
 _OBS_COMPILE_HITS = obs.Counter("flat.compile.cache_hits")
 _OBS_COMPILE_MISSES = obs.Counter("flat.compile.cache_misses")
 _OBS_KERNEL_NODES = obs.Counter("flat.kernel.nodes")
 _OBS_BATCH_SIZE = obs.Histogram("flat.batch.size")
+_OBS_DIRTY_SEEDS = obs.Counter("flat.refresh.dirty_seeds")
+_OBS_UNCHANGED = obs.Counter("flat.refresh.records_unchanged")
+_OBS_PATH_LENGTH = obs.Histogram("flat.refresh.path_length")
 
 #: Per-node repeater parameters ``(c_a, c_b, d_ab, r_ab, d_ba, r_ba)``.
 _RepParams = Tuple[float, float, float, float, float, float]
@@ -242,15 +237,8 @@ def compile_net(
     tree: RoutingTree,
     tech: Technology,
     context: Optional[EvalContext] = None,
-    *,
-    use_numpy: bool = False,
 ) -> FlatNet:
-    """Lower one tree + context into a :class:`FlatNet`.
-
-    With ``use_numpy=True`` the wire and leaf-base columns are built by
-    vectorized float64 arithmetic; operand order matches the scalar
-    expressions, so both paths produce bit-identical columns.
-    """
+    """Lower one tree + context into a :class:`FlatNet`."""
     context = context if context is not None else EvalContext()
     assignment, widths = _validated_knobs(tree, context)
     net = FlatNet(tree, tech, bool(context.include_companion_cap))
@@ -272,67 +260,100 @@ def compile_net(
             net.tintr[v] = term.intrinsic_delay
             net.tname[v] = term.name
 
-    if use_numpy and _np is not None:
-        lengths = _np.array([tree.edge_length(i) for i in range(n)], dtype=_np.float64)
-        warr = _np.ones(n, dtype=_np.float64)
-        for idx, w in widths.items():
-            warr[idx] = w
-        # (length * unit) * w  ==  (unit * length) * w  bit-for-bit: float
-        # multiplication commutes exactly, and the scalar path multiplies
-        # wire_capacitance(length) by w in the same position.
-        net.wire_cap = ((lengths * tech.unit_capacitance) * warr).tolist()
-        net.wire_res = ((lengths * tech.unit_resistance) / warr).tolist()
-        alpha = _np.array(net.alpha, dtype=_np.float64)
-        tintr = _np.array(net.tintr, dtype=_np.float64)
-        tres = _np.array(net.tres, dtype=_np.float64)
-        tcap = _np.array(net.tcap, dtype=_np.float64)
-        wc = _np.array(net.wire_cap, dtype=_np.float64)
-        net.leaf_base = (alpha + (tintr + tres * (tcap + wc))).tolist()
+    # refresh_edge inlined with the unit-knob multiplications dropped:
+    # x * 1.0 and x / 1.0 are IEEE-exact no-ops, so skipping them keeps
+    # the columns bit-identical while halving compile cost
+    edge_length = tree.edge_length
+    uc = tech.unit_capacitance
+    ur = tech.unit_resistance
+    wc = net.wire_cap
+    wr = net.wire_res
+    if widths:
+        for i in range(n):
+            length = edge_length(i)
+            w = widths.get(i, 1.0)
+            wc[i] = uc * length * w
+            wr[i] = ur * length / w
     else:
-        # refresh_edge inlined with the unit-knob multiplications dropped:
-        # x * 1.0 and x / 1.0 are IEEE-exact no-ops, so skipping them keeps
-        # the columns bit-identical while halving compile cost
-        edge_length = tree.edge_length
-        uc = tech.unit_capacitance
-        ur = tech.unit_resistance
-        wc = net.wire_cap
-        wr = net.wire_res
-        if widths:
-            for i in range(n):
-                length = edge_length(i)
-                w = widths.get(i, 1.0)
-                wc[i] = uc * length * w
-                wr[i] = ur * length / w
-        else:
-            for i in range(n):
-                length = edge_length(i)
-                wc[i] = uc * length
-                wr[i] = ur * length
-        alpha = net.alpha
-        tintr = net.tintr
-        tres = net.tres
-        tcap = net.tcap
-        leaf_base = net.leaf_base
-        for v in range(n):
-            if net.is_term[v]:
-                leaf_base[v] = alpha[v] + (tintr[v] + tres[v] * (tcap[v] + wc[v]))
+        for i in range(n):
+            length = edge_length(i)
+            wc[i] = uc * length
+            wr[i] = ur * length
+    alpha = net.alpha
+    tintr = net.tintr
+    tres = net.tres
+    tcap = net.tcap
+    leaf_base = net.leaf_base
+    for v in range(n):
+        if net.is_term[v]:
+            leaf_base[v] = alpha[v] + (tintr[v] + tres[v] * (tcap[v] + wc[v]))
     return net
 
 
 # -- the fused Eq. 1 + Fig. 2 kernel -------------------------------------------
 
 
-def _kernel(net: FlatNet):
-    """One reverse-preorder sweep producing every non-root subtree record.
+#: The kernel's per-node record columns ``(down, ups, req, req_sink, diams)``.
+_Columns = Tuple[List[float], List[tuple], List[float], List[Optional[int]], List[tuple]]
 
-    This is :func:`repro.rctree.incremental.record_for` unrolled over flat
-    columns: the candidate tuples, prune/argmax helpers and expression
-    order are the reference's own, so the resulting ``(down, ups, req,
-    req_sink, diams)`` arrays match ``build_records`` entry for entry.
+
+def _dirty_paths(net: FlatNet, cols: _Columns, seeds, pos: List[int]):
+    """Feed :func:`_kernel` the dirty root paths, deepest node first.
+
+    Yields the dirty nodes by descending preorder position.  When the
+    kernel asks for the next node, it has rewritten the last one's entries:
+    the walk queues that node's parent only if the entries changed, so it
+    stops early at the first unaffected ancestor (docs/ALGORITHMS.md §10).
+    A parent sits at a smaller preorder position than its children, so
+    every node is visited at most once, after all of its dirty descendants.
     """
-    n = net.n
     order = net.order
     root = net.root
+    parent = net.parent
+    down, ups, req, req_sink, diams = cols
+    heap = [-pos[v] for v in seeds if v != root]
+    heapq.heapify(heap)
+    queued = set(seeds)
+    n_seeds = len(heap)
+    rebuilt = unchanged = 0  # plain locals: nothing obs-side in the loop
+    while heap:
+        v = order[-heapq.heappop(heap)]
+        old = (down[v], ups[v], req[v], req_sink[v], diams[v])
+        yield v
+        if (down[v], ups[v], req[v], req_sink[v], diams[v]) == old:
+            unchanged += 1
+            continue
+        rebuilt += 1
+        p = parent[v]
+        if p != root and p not in queued:
+            queued.add(p)
+            heapq.heappush(heap, -pos[p])
+    if obs.enabled():
+        # a dirty sweep records its size once, as its path length (records
+        # rebuilt = path length - unchanged): counting the same nodes again
+        # as kernel nodes or rebuilt records would only multiply what the
+        # disabled-overhead bound prices per counter unit
+        _OBS_DIRTY_SEEDS.add(n_seeds)
+        _OBS_UNCHANGED.add(unchanged)
+        _OBS_PATH_LENGTH.observe(rebuilt + unchanged)
+
+
+def _kernel(net: FlatNet, cols: Optional[_Columns] = None, nodes=None) -> _Columns:
+    """The Fig. 2 record sweep over flat columns: full, or dirty root paths.
+
+    With no arguments this is one reverse-preorder sweep producing every
+    non-root subtree record into fresh columns.  Given the columns of an
+    earlier sweep and a :func:`_dirty_paths` walk over them, the same loop
+    body re-runs over the dirty root paths only.
+
+    The body is :func:`repro.rctree.incremental.record_for` unrolled over
+    flat columns: the candidate tuples, prune/argmax helpers and expression
+    order are the reference's own, so the resulting ``(down, ups, req,
+    req_sink, diams)`` arrays match ``build_records`` entry for entry.
+    Every branch writes all five entries of its node, because a dirty sweep
+    overwrites entries an earlier sweep left behind.
+    """
+    n = net.n
     kids = net.kids
     wire_cap = net.wire_cap
     wire_res = net.wire_res
@@ -347,26 +368,24 @@ def _kernel(net: FlatNet):
     companion = net.companion
     never = NEVER
 
-    down: List[float] = [0.0] * n
-    ups: List[tuple] = [()] * n
-    req: List[float] = [never] * n
-    req_sink: List[Optional[int]] = [None] * n
-    diams: List[tuple] = [()] * n
+    if cols is None:
+        cols = ([0.0] * n, [()] * n, [never] * n, [None] * n, [()] * n)
+        nodes = net.order[:0:-1]  # reverse preorder; order[0] is the root
+        if obs.enabled():
+            _OBS_KERNEL_NODES.add(n - 1)
+    down, ups, req, req_sink, diams = cols
 
-    if obs.enabled():
-        _OBS_KERNEL_NODES.add(n)
-
-    for i in range(n - 1, -1, -1):
-        v = order[i]
-        if v == root:
-            continue
+    for v in nodes:
         if is_term[v]:
             down[v] = tcap[v]
-            if is_src[v]:
-                ups[v] = ((leaf_base[v], tres[v], v),)
+            ups[v] = ((leaf_base[v], tres[v], v),) if is_src[v] else ()
             if is_snk[v]:
                 req[v] = beta[v]
                 req_sink[v] = v
+            else:
+                req[v] = never
+                req_sink[v] = None
+            diams[v] = ()
             continue
 
         children = kids[v]
@@ -381,6 +400,9 @@ def _kernel(net: FlatNet):
             if ru != never:
                 req[v] = wire_res[u] * (0.5 * wire_cap[u] + down[u]) + ru
                 req_sink[v] = req_sink[u]
+            else:
+                req[v] = never
+                req_sink[v] = None
             down[v] = 0 + (wire_cap[u] + down[u])
             side = wire_cap[v] + 0
             wru = wire_res[u]
@@ -392,6 +414,8 @@ def _kernel(net: FlatNet):
                     for base, slope, source in front
                 ]
                 ups[v] = _prune(lifted) if len(lifted) > 1 else tuple(lifted)
+            else:
+                ups[v] = ()
             front = diams[u]
             if front:
                 shifted = [
@@ -401,6 +425,8 @@ def _kernel(net: FlatNet):
                 diams[v] = (
                     _prune(shifted) if len(shifted) > 1 else tuple(shifted)
                 )
+            else:
+                diams[v] = ()
             continue
 
         child_load = [wire_cap[u] + down[u] for u in children]
@@ -439,6 +465,8 @@ def _kernel(net: FlatNet):
                         best_arrival, best_source = arrival, source
                 up_load = wire_cap[v] + c_a if companion else wire_cap[v]
                 ups[v] = ((best_arrival + d_ba + r_ba * up_load, r_ba, best_source),)
+            else:
+                ups[v] = ()
             if rq != never:
                 cross_load = wire_cap[child] + down[child]
                 if companion:
@@ -498,7 +526,7 @@ def _kernel(net: FlatNet):
         ups[v] = _prune(ups_v) if len(ups_v) > 1 else tuple(ups_v)
         diams[v] = _prune(diams_v) if len(diams_v) > 1 else tuple(diams_v)
 
-    return down, ups, req, req_sink, diams
+    return cols
 
 
 def _finish(net: FlatNet, down, ups, req, req_sink, diams):
@@ -586,44 +614,29 @@ def _timing_table(net, up, ups, req, req_sink, diams, best, src, snk):
     return timing
 
 
-def _resolve_backend(backend: str, n_nodes: int) -> bool:
-    """True when compilation should vectorize."""
-    if backend == "numpy":
-        if not HAVE_NUMPY:
-            raise ValueError("backend='numpy' requested but numpy is not installed")
-        return True
-    if backend == "python":
-        return False
-    if backend == "auto":
-        return HAVE_NUMPY and n_nodes >= AUTO_NUMPY_MIN_NODES
-    raise ValueError(
-        f"unknown backend {backend!r}; expected 'auto', 'python' or 'numpy'"
-    )
-
-
 # -- the engine ----------------------------------------------------------------
 
 
 class FlatARDEngine:
-    """A :class:`~repro.rctree.engine.TimingEngine` over compiled columns.
+    """The editable :class:`~repro.rctree.engine.TimingEngine` over compiled columns.
 
-    Construction compiles the tree once; :meth:`evaluate` runs the fused
-    flat kernel and caches the scalar result until a mutation invalidates
-    it.  The mutation ops mirror :class:`IncrementalARD`'s surface
+    Construction compiles the tree once; the first :meth:`evaluate` runs
+    one full kernel sweep and keeps its record columns.  The mutation ops
     (``set_assignment`` / ``set_terminal`` / ``set_wire_width`` /
-    ``set_wire_scale``) by patching the affected columns in place — each
-    subsequent evaluate is a fresh O(n) kernel sweep, which is the flat
-    engine's trade: no dirty tracking, but a far cheaper full pass.
+    ``set_wire_scale`` / ``reroot``) patch the affected compiled columns
+    in place and mark the minimal dirty set; the next evaluate re-runs the
+    kernel over the dirty root paths only, deepest first, stopping early
+    at unchanged records:
 
-    ``backend`` selects how compilation builds the columns: ``"python"``
-    (always available), ``"numpy"`` (vectorized, raises without numpy) or
-    ``"auto"`` (numpy when available and the tree has at least
-    ``AUTO_NUMPY_MIN_NODES`` nodes).  Both produce bit-identical columns.
+    * ``set_assignment(v)`` and ``set_terminal(v)`` dirty ``v``;
+    * ``set_wire_width(e)`` dirties ``e`` and its parent (the parent's
+      combine reads the edge columns directly);
+    * ``set_wire_scale`` and ``reroot`` dirty everything — the next
+      evaluate is one full sweep, with no engine rebuild.
 
     ``include_timing=True`` additionally materializes the per-node
     ``A_v``/``D_v``/``Z_v`` table on every evaluate (the reference
-    ``ard()`` behavior); the default matches ``IncrementalARD`` and returns
-    it empty.
+    ``ard()`` behavior); by default it is returned empty.
 
     With ``REPRO_CHECK=1`` every evaluation is cross-checked bit-for-bit
     against a fresh reference record pass
@@ -636,18 +649,13 @@ class FlatARDEngine:
         tech: Technology,
         *,
         context: Optional[EvalContext] = None,
-        backend: str = "auto",
         include_timing: bool = False,
     ):
         context = context if context is not None else EvalContext()
-        self._use_numpy = _resolve_backend(backend, len(tree))
-        self._net = compile_net(tree, tech, context, use_numpy=self._use_numpy)
         self._assignment, _ = _validated_knobs(tree, context)
         self._overrides: Dict[int, Terminal] = {}
         self._include_timing = bool(include_timing)
-        self._scalar = None  # (down, ups, req, req_sink, diams, best, src, snk)
-        self._up: Optional[List[float]] = None
-        self._result: Optional[ARDResult] = None
+        self._set_net(compile_net(tree, tech, context))
 
     # -- engine protocol --------------------------------------------------------
 
@@ -664,11 +672,6 @@ class FlatARDEngine:
         return dict(self._assignment)
 
     @property
-    def backend(self) -> str:
-        """The resolved compile backend: ``"numpy"`` or ``"python"``."""
-        return "numpy" if self._use_numpy else "python"
-
-    @property
     def context(self) -> EvalContext:
         """The engine's current knobs (terminal overrides and wire scales
         live outside :class:`EvalContext` and are not represented)."""
@@ -679,17 +682,18 @@ class FlatARDEngine:
         )
 
     def evaluate(self, tree: Optional[RoutingTree] = None) -> ARDResult:
-        """The current ARD from one fused kernel sweep (cached until edited)."""
+        """The current ARD, re-sweeping only dirty root paths (cached until
+        edited)."""
         check_engine_tree(self._net.tree, tree)
         if self._result is not None:
             return self._result
-        arrays = self._ensure_kernel()
-        down, ups, req, req_sink, diams, best, src, snk = arrays
+        best, src, snk = self._ensure_kernel()
         timing: Dict[int, SubtreeTiming] = {}
         if self._include_timing:
-            up = self._ensure_up()
+            _, ups, req, req_sink, diams = self._cols
             timing = _timing_table(
-                self._net, up, ups, req, req_sink, diams, best, src, snk
+                self._net, self._ensure_up(), ups, req, req_sink, diams,
+                best, src, snk,
             )
         self._result = ARDResult(best, src, snk, timing)
         if contracts.contracts_enabled():
@@ -699,7 +703,9 @@ class FlatARDEngine:
     def path_delay(self, src: int, dst: int) -> float:
         """``PD(src, dst)`` under the engine's current state (Def. 2.1)."""
         net = self._net
-        if not net.is_term[src] or not net.is_term[dst]:
+        if not (0 <= src < net.n and 0 <= dst < net.n) or not (
+            net.is_term[src] and net.is_term[dst]
+        ):
             raise ValueError("path_delay endpoints must be terminals")
         if src == dst:
             raise ValueError("source and sink must differ")
@@ -724,9 +730,9 @@ class FlatARDEngine:
 
     def set_assignment(self, node: int, repeater: Optional[Repeater]) -> None:
         """Place (or with ``None`` remove) a repeater at an insertion node."""
+        if not (0 <= node < self._net.n):
+            raise ValueError(f"assignment names unknown node {node}")
         if repeater is not None:
-            if not (0 <= node < self._net.n):
-                raise ValueError(f"assignment names unknown node {node}")
             kind = self._net.tree.node(node).kind
             if kind is not NodeKind.INSERTION:
                 raise ValueError(
@@ -739,7 +745,7 @@ class FlatARDEngine:
         else:
             self._assignment.pop(node, None)
         self._net.set_repeater_params(node, repeater)
-        self._invalidate()
+        self._mark(node)
 
     def set_terminal(self, node: int, terminal: Terminal) -> None:
         """Override the terminal payload of a terminal node."""
@@ -751,7 +757,7 @@ class FlatARDEngine:
             raise TypeError(f"terminal override for node {node} is {terminal!r}")
         self._overrides[node] = terminal
         self._net.set_terminal_payload(node, terminal)
-        self._invalidate()
+        self._mark(node)  # the root holds no record: its finish re-reads it
 
     def set_wire_width(self, edge: int, width) -> None:
         """Set the width factor of one edge (named by its child node).
@@ -773,12 +779,19 @@ class FlatARDEngine:
         net.refresh_edge(edge)
         if net.is_term[edge]:
             net.refresh_leaf_base(edge)
-        self._invalidate()
+        # the edge's own record carries its wire in every driver-load term,
+        # and the parent's combine reads the edge columns directly
+        self._mark(edge)
+        self._mark(net.parent[edge])
 
     def set_wire_scale(
         self, *, resistance_factor: float = 1.0, capacitance_factor: float = 1.0
     ) -> None:
-        """Set (absolutely, not cumulatively) global wire variation scalars."""
+        """Set (absolutely, not cumulatively) global wire variation scalars.
+
+        Every wire column changes, so the next :meth:`evaluate` is one full
+        sweep; the win over rebuilding is skipping compilation.
+        """
         if resistance_factor <= 0.0 or capacitance_factor <= 0.0:
             raise ValueError("wire variation scalars must be positive")
         net = self._net
@@ -789,17 +802,16 @@ class FlatARDEngine:
         for v in range(net.n):
             if net.is_term[v]:
                 net.refresh_leaf_base(v)
+        self._cols = None
         self._invalidate()
 
     def reroot(self, node: int) -> None:
         """Re-orient the tree at ``node`` (terminal or branch point).
 
         Changes every parent relation, so the columns are recompiled from
-        the re-oriented tree (O(n), the engine's normal full-sweep cost);
-        edge width overrides are remapped to the re-oriented edge carriers
-        and terminal overrides / wire scales are replayed — mirroring
-        :meth:`repro.rctree.incremental.IncrementalARD.reroot` so the two
-        editable engines stay bit-identical through structural edits.
+        the re-oriented tree and the next evaluate is one full sweep; edge
+        width overrides are remapped to the re-oriented edge carriers and
+        terminal overrides / wire scales are replayed.
         """
         net = self._net
         old = net.tree
@@ -812,15 +824,16 @@ class FlatARDEngine:
             else:  # the edge flipped: its carrier is now the old parent
                 remapped[parent] = w
         res_scale, cap_scale = net.res_scale, net.cap_scale
-        self._net = compile_net(
-            new_tree,
-            net.tech,
-            EvalContext(
-                assignment=dict(self._assignment) or None,
-                wire_widths=remapped or None,
-                include_companion_cap=net.companion,
-            ),
-            use_numpy=self._use_numpy,
+        self._set_net(
+            compile_net(
+                new_tree,
+                net.tech,
+                EvalContext(
+                    assignment=dict(self._assignment) or None,
+                    wire_widths=remapped or None,
+                    include_companion_cap=net.companion,
+                ),
+            )
         )
         net = self._net
         if res_scale != 1.0 or cap_scale != 1.0:  # repro: noqa[R001] 1.0 is the exact "never scaled" default
@@ -834,7 +847,6 @@ class FlatARDEngine:
             for v in range(net.n):
                 if net.is_term[v]:
                     net.refresh_leaf_base(v)
-        self._invalidate()
 
     # -- verification hooks -----------------------------------------------------
 
@@ -844,7 +856,8 @@ class FlatARDEngine:
         Replays the current knobs into an
         :class:`~repro.rctree.incremental.EvalState` and runs the reference
         ``build_records`` / ``finish_root`` — any disagreement with
-        :meth:`evaluate` pinpoints a kernel porting bug, not float drift.
+        :meth:`evaluate` pinpoints a kernel porting or dirty-tracking bug,
+        not float drift.
         """
         state = self._eval_state()
         records = build_records(state)
@@ -869,30 +882,50 @@ class FlatARDEngine:
 
     # -- internals --------------------------------------------------------------
 
-    def _invalidate(self) -> None:
-        self._scalar = None
-        self._up = None
-        self._result = None
+    def _set_net(self, net: FlatNet) -> None:
+        """Adopt freshly compiled columns; the next evaluate sweeps fully."""
+        self._net = net
+        pos = [0] * net.n
+        for k, v in enumerate(net.order):
+            pos[v] = k
+        self._pos = pos
+        self._cols: Optional[_Columns] = None
+        self._dirty: set = set()
+        self._invalidate()
 
-    def _ensure_kernel(self):
-        if self._scalar is None:
-            down, ups, req, req_sink, diams = _kernel(self._net)
-            best, src, snk = _finish(self._net, down, ups, req, req_sink, diams)
-            self._scalar = (down, ups, req, req_sink, diams, best, src, snk)
-        return self._scalar
+    def _mark(self, node: int) -> None:
+        self._dirty.add(node)
+        self._invalidate()
+
+    def _invalidate(self) -> None:
+        self._finished: Optional[Tuple[float, Optional[int], Optional[int]]] = None
+        self._up: Optional[List[float]] = None
+        self._result: Optional[ARDResult] = None
+
+    def _ensure_kernel(self) -> Tuple[float, Optional[int], Optional[int]]:
+        """Bring the record columns up to date; the root's ``(ARD, src, snk)``."""
+        if self._finished is None:
+            if self._cols is None:
+                self._cols = _kernel(self._net)
+            elif self._dirty:
+                walk = _dirty_paths(self._net, self._cols, self._dirty, self._pos)
+                _kernel(self._net, self._cols, walk)
+            self._dirty.clear()
+            self._finished = _finish(self._net, *self._cols)
+        return self._finished
 
     def _ensure_up(self) -> List[float]:
         if self._up is None:
-            down = self._ensure_kernel()[0]
-            self._up = _up_pass(self._net, down)
+            self._up = _up_pass(self._net, self._cols[0])
         return self._up
 
     # path-delay plumbing: ElmoreAnalyzer's views over the flat arrays
 
     def _node_view(self, v: int, entered_from: int) -> float:
         net = self._net
+        down = self._cols[0]
         if entered_from == net.parent[v]:
-            return self._scalar[0][v]  # Eq. 1 down
+            return down[v]  # Eq. 1 down
         rv = net.rep[v]
         if rv is not None:
             return rv[1]  # c_b
@@ -902,7 +935,7 @@ class FlatARDEngine:
         if net.parent[v] is not None:
             total += net.wire_cap[v] + self._up[v]
         total += sum(
-            net.wire_cap[u] + self._scalar[0][u]
+            net.wire_cap[u] + down[u]
             for u in net.kids[v]
             if u != entered_from
         )
@@ -1016,8 +1049,6 @@ class FlatNetCache:
         tree: RoutingTree,
         tech: Technology,
         context: Optional[EvalContext] = None,
-        *,
-        use_numpy: bool = False,
     ) -> FlatNet:
         key = canonical_net_key(tree, tech, context)
         net = self._store.get(key)
@@ -1030,7 +1061,7 @@ class FlatNetCache:
         self.misses += 1
         if obs.enabled():
             _OBS_COMPILE_MISSES.add()
-        net = compile_net(tree, tech, context, use_numpy=use_numpy)
+        net = compile_net(tree, tech, context)
         self._store[key] = net
         while len(self._store) > self._maxsize:
             self._store.popitem(last=False)
@@ -1045,7 +1076,6 @@ def evaluate_batch(
     tech: Technology,
     *,
     contexts: Union[None, EvalContext, Sequence[Optional[EvalContext]]] = None,
-    backend: str = "auto",
     include_timing: bool = False,
     cache: Optional[FlatNetCache] = None,
 ) -> List[ARDResult]:
@@ -1053,8 +1083,7 @@ def evaluate_batch(
 
     ``contexts`` is ``None`` (bare evaluation for every net), a single
     :class:`EvalContext` applied to all nets, or a sequence parallel to
-    ``nets``.  ``backend`` resolves per net as in :class:`FlatARDEngine`.
-    Pass a :class:`FlatNetCache` to reuse compilations across calls.
+    ``nets``.  Pass a :class:`FlatNetCache` to reuse compilations across calls.
     ``include_timing=True`` materializes every per-node timing table
     (roughly doubling the work); the default returns scalar results.
 
@@ -1079,11 +1108,10 @@ def evaluate_batch(
         _OBS_BATCH_SIZE.observe(n_batch)
     with obs.trace("flat.batch", nets=n_batch, nodes=total_nodes):
         for tree, ctx in zip(nets, ctx_list):
-            use_numpy = _resolve_backend(backend, len(tree))
             if cache is not None:
-                net = cache.get_or_compile(tree, tech, ctx, use_numpy=use_numpy)
+                net = cache.get_or_compile(tree, tech, ctx)
             else:
-                net = compile_net(tree, tech, ctx, use_numpy=use_numpy)
+                net = compile_net(tree, tech, ctx)
             down, ups, req, req_sink, diams = _kernel(net)
             best, src, snk = _finish(net, down, ups, req, req_sink, diams)
             timing: Dict[int, SubtreeTiming] = {}

@@ -1,9 +1,9 @@
-"""Incremental ARD: persistent Fig. 2 records with dirty-path invalidation.
+"""The Fig. 2 record algebra: subtree records as linear functions of load.
 
 The paper's Fig. 2 algorithm computes the augmented RC-diameter in one
-linear pass, but every optimization loop in this repository re-runs that
-pass from scratch per candidate edit — O(n) per probe, O(n²) outer loops.
-This module makes the pass *persistent and editable*.
+linear pass.  To make that pass *editable* — re-run after a local edit
+without touching the rest of the tree — the per-subtree state must be a
+function of the subtree alone.
 
 The obstacle is that the scalar per-subtree quantities (arrival ``a(v)``,
 diameter ``z(v)``) are **not** functions of the subtree alone: a source
@@ -24,43 +24,36 @@ everything above ``v``'s parent edge, the wire itself excluded):
 So defined, a record is a pure function of subtree-local state (its own
 wire, terminal, repeater, and children's records), which makes dirty
 tracking exact: an edit at ``v`` invalidates the records on the root path
-of ``v`` and nothing else.  Re-propagation costs O(depth · branching ·
-front) per edit, and batched edits coalesce shared path prefixes because a
-node re-propagates at most once per :meth:`IncrementalARD.evaluate`.
+of ``v`` and nothing else.  :class:`~repro.rctree.flat.FlatARDEngine`, the
+editable engine, re-propagates exactly those root paths over its flat
+columns.
 
 Candidate fronts stay small through upper-envelope (Pareto) pruning on the
 domain ``t ≥ 0``: a candidate whose base *and* slope are both dominated can
 never win the max.  In practice deeper sources dominate shallower ones on
 the same path, collapsing the front to a handful of entries.
 
-:func:`repro.core.ard.compute_ard` runs this same record algebra for its
-full pass (evaluating the records at the analyzer's Eq. 2 loads to fill
-the legacy per-node timing table), so the full and incremental paths share
-one implementation and agree **bit-identically** — the REPRO_CHECK contract
-(:func:`repro.check.contracts.verify_incremental_consistency`) asserts
-exactly that after every incremental evaluation.
+This module is the reference implementation of that algebra:
+:func:`repro.core.ard.compute_ard` runs it for its full pass (evaluating
+the records at the analyzer's Eq. 2 loads to fill the legacy per-node
+timing table), and the flat kernel is a port of it that must agree
+**bit-identically** — the REPRO_CHECK contract
+(:func:`repro.check.contracts.verify_flat_consistency`) replays this
+module's :func:`build_records` / :func:`finish_root` after every flat
+evaluation.
 """
 
 from __future__ import annotations
 
-import heapq
 from typing import Dict, List, NamedTuple, Optional, Tuple
 
-from ..check import contracts
-from ..obs import core as obs
 from ..tech.buffers import Repeater
 from ..tech.parameters import Technology
 from ..tech.terminals import NEVER, Terminal
-from .engine import (
-    ARDResult,
-    EvalContext,
-    SubtreeTiming,
-    check_engine_tree,
-)
+from .engine import EvalContext, SubtreeTiming
 from .topology import NodeKind, RoutingTree
 
 __all__ = [
-    "IncrementalARD",
     "EvalState",
     "SubtreeRecord",
     "build_records",
@@ -69,17 +62,6 @@ __all__ = [
     "timing_from_record",
 ]
 
-
-# Observability metrics (naming contract: docs/OBSERVABILITY.md) — these
-# quantify the module's central claim: evaluate() touches only dirty root
-# paths, not the tree.  All are free while REPRO_OBS is off.
-_OBS_CACHE_HITS = obs.Counter("incremental.cache_hits")
-_OBS_CACHE_MISSES = obs.Counter("incremental.cache_misses")
-_OBS_DIRTY_SEEDS = obs.Counter("incremental.refresh.dirty_seeds")
-_OBS_REBUILT = obs.Counter("incremental.refresh.records_rebuilt")
-_OBS_UNCHANGED = obs.Counter("incremental.refresh.records_unchanged")
-_OBS_FULL_REBUILDS = obs.Counter("incremental.full_rebuilds")
-_OBS_PATH_LENGTH = obs.Histogram("incremental.refresh.path_length")
 
 #: Arrival candidate ``(base, slope, source)``: value ``base + slope · t``.
 UpCandidate = Tuple[float, float, int]
@@ -102,9 +84,10 @@ class EvalState(object):
 
     Owns the per-edge wire resistance/capacitance arrays (width factors and
     the global variation scalars applied), the repeater assignment, and the
-    terminal overrides.  Both the full pass (:func:`build_records` via
-    ``compute_ard``) and :class:`IncrementalARD` compute records from this
-    state with identical arithmetic, which is what makes them bit-identical.
+    terminal overrides.  The full pass (:func:`build_records` via
+    ``compute_ard``) computes records from this state, and
+    :class:`~repro.rctree.flat.FlatARDEngine` replays its knobs into one to
+    cross-check its own sweeps against that pass.
     """
 
     __slots__ = (
@@ -231,7 +214,7 @@ def record_for(
     state: EvalState, v: int, records: List[Optional[SubtreeRecord]]
 ) -> SubtreeRecord:
     """The record of node ``v`` from its children's records — the one DFS
-    combine step shared by the full and incremental passes."""
+    combine step of the reference pass (the flat kernel ports it)."""
     tree = state.tree
     if tree.node(v).kind is NodeKind.TERMINAL:
         return _leaf_record(state, v)
@@ -289,12 +272,10 @@ def _internal_record(
     ups: List[UpCandidate] = []
     diams: List[DiamCandidate] = []
     lifted_per_child: List[Tuple[int, List[UpCandidate]]] = []
-    total_side = sum(child_load)
     for k, u in enumerate(children):
         rec = records[u]
-        side = wire_cap[v] + (total_side - child_load[k])
-        # recompute the sibling sum exactly (no subtraction tricks) so the
-        # incremental path reproduces the full pass bit for bit
+        # the exact sibling sum (no subtraction tricks): the flat kernel's
+        # port reproduces it bit for bit
         side = wire_cap[v] + sum(
             child_load[j] for j in range(len(children)) if j != k
         )
@@ -502,298 +483,3 @@ def timing_from_record(
     return SubtreeTiming(
         arrival, arrival_source, record.req, record.req_sink, diameter, diameter_pair
     )
-
-
-# -- the persistent engine -----------------------------------------------------
-
-
-class IncrementalARD:
-    """A persistent :class:`~repro.rctree.engine.TimingEngine` over one tree.
-
-    Construction runs one full record pass (O(n)); afterwards the mutation
-    ops — :meth:`set_assignment`, :meth:`set_terminal`,
-    :meth:`set_wire_width`, :meth:`set_wire_scale`, :meth:`reroot` — mark
-    the minimal dirty set and :meth:`evaluate` re-propagates only the dirty
-    root paths (deepest first, so batched edits coalesce shared prefixes
-    and a node recomputes at most once).  Re-propagation stops early when a
-    recomputed record is unchanged.
-
-    With ``REPRO_CHECK=1`` every evaluation is cross-checked against a
-    fresh full pass (:meth:`fresh_result`) for bit-identical value and
-    critical pair.
-
-    ``evaluate`` returns an :class:`~repro.rctree.engine.ARDResult` with an
-    empty ``timing`` table — the per-node scalar table is a full-pass
-    product; use :func:`repro.core.ard.compute_ard` when you need it.
-    """
-
-    def __init__(
-        self,
-        tree: RoutingTree,
-        tech: Technology,
-        *,
-        context: Optional[EvalContext] = None,
-    ):
-        self._state = EvalState(tree, tech, context)
-        self._rebuild()
-
-    # -- engine protocol --------------------------------------------------------
-
-    @property
-    def tree(self) -> RoutingTree:
-        return self._state.tree
-
-    @property
-    def technology(self) -> Technology:
-        return self._state.tech
-
-    @property
-    def assignment(self) -> Dict[int, Repeater]:
-        return dict(self._state.assignment)
-
-    def evaluate(self, tree: Optional[RoutingTree] = None) -> ARDResult:
-        """The current ARD, re-propagating only dirty root paths."""
-        check_engine_tree(self._state.tree, tree)
-        self._refresh()
-        if self._result is None:
-            if obs.enabled():
-                _OBS_CACHE_MISSES.add()
-            value, src, snk = finish_root(self._state, self._records)
-            self._result = ARDResult(value, src, snk, {})
-            if contracts.contracts_enabled():
-                contracts.verify_incremental_consistency(self._result, self)
-        elif obs.enabled():
-            _OBS_CACHE_HITS.add()
-        return self._result
-
-    def path_delay(self, src: int, dst: int) -> float:
-        """``PD(src, dst)`` under the engine's current state (Def. 2.1)."""
-        self._refresh()
-        tree = self._state.tree
-        if tree.node(src).terminal is None or tree.node(dst).terminal is None:
-            raise ValueError("path_delay endpoints must be terminals")
-        if src == dst:
-            raise ValueError("source and sink must differ")
-        src_t = self._state.terminal(src)
-        if not src_t.is_source:
-            raise ValueError(f"terminal {src_t.name} cannot drive")
-
-        path = tree.path_between(src, dst)
-        total = src_t.driver_delay(
-            src_t.capacitance + self._cap_into(src, path[1])
-        )
-        for k in range(1, len(path)):
-            a, b = path[k - 1], path[k]
-            total += self._wire_delay(a, b)
-            if k < len(path) - 1 and b in self._state.assignment:
-                total += self._crossing_delay(b, a, path[k + 1])
-        return total
-
-    # -- mutation ops -----------------------------------------------------------
-
-    def set_assignment(self, node: int, repeater: Optional[Repeater]) -> None:
-        """Place (or with ``None`` remove) a repeater at an insertion node."""
-        self._state.set_repeater(node, repeater)
-        self._mark(node)
-
-    def set_terminal(self, node: int, terminal: Terminal) -> None:
-        """Override the terminal payload of a terminal node."""
-        self._state.set_terminal_override(node, terminal)
-        if node != self._state.tree.root:
-            self._mark(node)
-        else:
-            self._result = None  # the root finish reads the terminal directly
-
-    def set_wire_width(self, edge: int, width) -> None:
-        """Set the width factor of one edge (named by its child node).
-
-        ``width`` is a positive factor, an object with a ``width`` attribute
-        (e.g. :class:`~repro.tech.buffers.WireClass`), or ``None`` to restore
-        unit width.
-        """
-        factor = getattr(width, "width", width)
-        self._state.set_width(edge, factor)
-        # the edge's own record carries its wire in every driver-load term,
-        # and the parent's combine reads the edge arrays directly
-        self._mark(edge)
-        parent = self._state.tree.parent(edge)
-        if parent is not None:
-            self._mark(parent)
-
-    def set_wire_scale(
-        self, *, resistance_factor: float = 1.0, capacitance_factor: float = 1.0
-    ) -> None:
-        """Set (absolutely, not cumulatively) global wire variation scalars.
-
-        Models die-to-die process variation of the wire constants without
-        rebuilding tree or engine; every record is invalidated, so the next
-        :meth:`evaluate` is a full O(n) pass — the win over rebuilding is
-        skipping tree validation and engine construction.
-        """
-        self._state.set_scales(resistance_factor, capacitance_factor)
-        tree = self._state.tree
-        for v in range(len(tree)):
-            if v != tree.root:
-                self._mark(v)
-
-    def reroot(self, node: int) -> None:
-        """Re-orient the tree at ``node`` (terminal or branch point).
-
-        Changes every parent relation, so this is a full O(n) rebuild; edge
-        width overrides are remapped to the re-oriented edge carriers.
-        """
-        old = self._state.tree
-        new_tree = old.rerooted(node)
-        remapped: Dict[int, float] = {}
-        for idx, w in self._state.widths.items():
-            parent = old.parent(idx)
-            if new_tree.parent(idx) == parent:
-                remapped[idx] = w
-            else:  # the edge flipped: its carrier is now the old parent
-                remapped[parent] = w
-        self._state.tree = new_tree
-        self._state.widths = remapped
-        self._rebuild()
-
-    # -- verification hooks -----------------------------------------------------
-
-    def fresh_result(self) -> ARDResult:
-        """A from-scratch full record pass over the current state.
-
-        The REPRO_CHECK contract compares every incremental evaluation
-        against this; since the full pass shares :func:`record_for`, any
-        disagreement pinpoints a dirty-tracking bug, not float drift.
-        """
-        records = build_records(self._state)
-        value, src, snk = finish_root(self._state, records)
-        return ARDResult(value, src, snk, {})
-
-    # -- internals --------------------------------------------------------------
-
-    def _rebuild(self) -> None:
-        if obs.enabled():
-            _OBS_FULL_REBUILDS.add()
-        tree = self._state.tree
-        for i in range(len(tree)):
-            self._state.refresh_edge(i)
-        pos = [0] * len(tree)
-        for k, v in enumerate(tree.dfs_postorder()):
-            pos[v] = k
-        self._pos = pos
-        self._records = build_records(self._state)
-        self._dirty: set = set()
-        self._result: Optional[ARDResult] = None
-
-    def _mark(self, node: int) -> None:
-        self._dirty.add(node)
-        self._result = None
-
-    def _refresh(self) -> None:
-        """Re-propagate dirty records, deepest (postorder-earliest) first."""
-        if not self._dirty:
-            return
-        tree = self._state.tree
-        root = tree.root
-        heap = [(self._pos[v], v) for v in sorted(self._dirty) if v != root]
-        heapq.heapify(heap)
-        queued = {v for _, v in heap}
-        self._dirty.clear()
-        seeds = len(queued)
-        rebuilt = unchanged = 0  # plain locals: nothing obs-side in the loop
-        while heap:
-            _, v = heapq.heappop(heap)
-            queued.discard(v)
-            record = record_for(self._state, v, self._records)
-            if record == self._records[v]:
-                unchanged += 1
-                continue
-            rebuilt += 1
-            self._records[v] = record
-            parent = tree.parent(v)
-            if parent is not None and parent != root and parent not in queued:
-                heapq.heappush(heap, (self._pos[parent], parent))
-                queued.add(parent)
-        if obs.enabled():
-            _OBS_DIRTY_SEEDS.add(seeds)
-            _OBS_REBUILT.add(rebuilt)
-            _OBS_UNCHANGED.add(unchanged)
-            _OBS_PATH_LENGTH.observe(rebuilt + unchanged)
-
-    # path-delay plumbing: Elmore views recomputed from the cached records
-
-    def _external_above(self, v: int) -> float:
-        """Eq. 2 at ``v``: load above ``v``'s parent edge (wire excluded)."""
-        tree = self._state.tree
-        chain = []
-        x = v
-        while True:
-            p = tree.parent(x)
-            if p is None:
-                raise ValueError("the root has no upstream")
-            chain.append(x)
-            if p in self._state.assignment or p == tree.root:
-                break
-            x = p
-        top = tree.parent(chain[-1])
-        rep = self._state.assignment.get(top)
-        if rep is not None:
-            acc = rep.c_b
-        else:
-            acc = self._state.own_cap(top)  # top is the root terminal
-        for x in reversed(chain[:-1]):
-            p = tree.parent(x)
-            acc = (
-                self._state.wire_cap[p]
-                + acc
-                + sum(
-                    self._state.wire_cap[w] + self._records[w].down
-                    for w in tree.children(p)
-                    if w != x
-                )
-            )
-        return acc
-
-    def _view_into(self, v: int, entered_from: int) -> float:
-        tree = self._state.tree
-        if entered_from == tree.parent(v):
-            return self._records[v].down
-        rep = self._state.assignment.get(v)
-        if rep is not None:
-            return rep.c_b
-        if tree.node(v).kind is NodeKind.TERMINAL:
-            return self._state.own_cap(v)  # root terminal seen from its child
-        total = 0.0
-        if tree.parent(v) is not None:
-            total += self._state.wire_cap[v] + self._external_above(v)
-        total += sum(
-            self._state.wire_cap[u] + self._records[u].down
-            for u in tree.children(v)
-            if u != entered_from
-        )
-        return total
-
-    def _edge_index(self, a: int, b: int) -> int:
-        tree = self._state.tree
-        if tree.parent(b) == a:
-            return b
-        if tree.parent(a) == b:
-            return a
-        raise ValueError(f"nodes {a} and {b} are not adjacent")
-
-    def _cap_into(self, frm: int, to: int) -> float:
-        e = self._edge_index(frm, to)
-        return self._state.wire_cap[e] + self._view_into(to, frm)
-
-    def _wire_delay(self, frm: int, to: int) -> float:
-        e = self._edge_index(frm, to)
-        return self._state.wire_res[e] * (
-            0.5 * self._state.wire_cap[e] + self._view_into(to, frm)
-        )
-
-    def _crossing_delay(self, at: int, came_from: int, going_to: int) -> float:
-        rep = self._state.assignment[at]
-        downward = came_from == self._state.tree.parent(at)
-        load = self._cap_into(at, going_to)
-        if self._state.companion:
-            load += rep.c_b if downward else rep.c_a
-        return rep.delay(a_to_b=downward, load_pf=load)

@@ -4,22 +4,16 @@ PR 3 unified the engines behind one protocol; this registry adds the last
 mile — a *string* spelling usable from CLI flags, config files and
 campaign specs.  Consumers (``greedy_insertion``, ``synthesize_topology``,
 ``monte_carlo_ard``, ``repro-msri ard --engine``) accept an engine name
-and resolve it here, so adding a backend is one table entry.
+and resolve it here, so adding an engine is one table entry.
 
 Names
 -----
 ``reference`` / ``elmore``
     :class:`~repro.rctree.elmore.ElmoreAnalyzer` — the full Fig. 2 pass
     with the per-node timing table.
-``incremental``
-    :class:`~repro.rctree.incremental.IncrementalARD` — persistent records
-    with dirty-path re-propagation; fastest for edit-probe loops.
 ``flat``
-    :class:`~repro.rctree.flat.FlatARDEngine` with ``backend="auto"`` —
-    the array-flattened kernel; fastest for evaluate-many workloads.
-``flat-python`` / ``flat-numpy``
-    The flat engine pinned to one compile backend (``flat-numpy`` raises
-    without numpy installed).
+    :class:`~repro.rctree.flat.FlatARDEngine` — the array-flattened
+    kernel with dirty-root-path re-propagation; the one editable engine.
 """
 
 from __future__ import annotations
@@ -30,7 +24,6 @@ from ..tech.parameters import Technology
 from .elmore import ElmoreAnalyzer
 from .engine import EditableEngine, EvalContext, TimingEngine
 from .flat import FlatARDEngine
-from .incremental import IncrementalARD
 from .topology import RoutingTree
 
 __all__ = [
@@ -47,43 +40,16 @@ def _make_elmore(tree, tech, context, include_timing):
     return ElmoreAnalyzer(tree, tech, context=context)
 
 
-def _make_incremental(tree, tech, context, include_timing):
-    if include_timing:
-        raise ValueError(
-            "engine 'incremental' never materializes per-node timing "
-            "tables; use 'flat' or 'reference' for include_timing=True"
-        )
-    return IncrementalARD(tree, tech, context=context)
-
-
 def _make_flat(tree, tech, context, include_timing):
     return FlatARDEngine(
-        tree, tech, context=context, backend="auto",
-        include_timing=include_timing,
-    )
-
-
-def _make_flat_python(tree, tech, context, include_timing):
-    return FlatARDEngine(
-        tree, tech, context=context, backend="python",
-        include_timing=include_timing,
-    )
-
-
-def _make_flat_numpy(tree, tech, context, include_timing):
-    return FlatARDEngine(
-        tree, tech, context=context, backend="numpy",
-        include_timing=include_timing,
+        tree, tech, context=context, include_timing=include_timing
     )
 
 
 _BUILDERS: Dict[str, Callable] = {
     "reference": _make_elmore,
     "elmore": _make_elmore,
-    "incremental": _make_incremental,
     "flat": _make_flat,
-    "flat-python": _make_flat_python,
-    "flat-numpy": _make_flat_numpy,
 }
 
 # The class each name constructs — used to classify editability without
@@ -91,10 +57,7 @@ _BUILDERS: Dict[str, Callable] = {
 _CLASSES: Dict[str, type] = {
     "reference": ElmoreAnalyzer,
     "elmore": ElmoreAnalyzer,
-    "incremental": IncrementalARD,
     "flat": FlatARDEngine,
-    "flat-python": FlatARDEngine,
-    "flat-numpy": FlatARDEngine,
 }
 
 
@@ -138,10 +101,9 @@ def make_engine(
     """Construct the named engine over one tree.
 
     ``include_timing=True`` requests the per-node timing table on every
-    ``evaluate()``; engines that never materialize it (``incremental``)
-    reject the request eagerly rather than silently returning an empty
-    table.  Raises :class:`ValueError` for unknown names (listing the
-    registry) — a CLI-friendly failure mode.
+    ``evaluate()`` (the reference engines always build it).  Raises
+    :class:`ValueError` for unknown names (listing the registry) — a
+    CLI-friendly failure mode.
     """
     try:
         builder = _BUILDERS[name]

@@ -268,7 +268,7 @@ def run_load(
     wall_s = time.perf_counter() - t_start
 
     # -- serial replay: recompute what every response must have been ---------
-    engine_name = engine or "incremental"
+    engine_name = engine or "flat"
     mismatches = 0
     details: List[str] = []
     all_latencies: List[float] = []

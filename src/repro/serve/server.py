@@ -71,7 +71,7 @@ class ServeConfig:
 
     host: str = "127.0.0.1"
     port: int = 0  # 0 = let the OS pick; read it back from ``server.port``
-    engine: str = "incremental"  # default session engine
+    engine: str = "flat"  # default session engine
     request_timeout_s: float = 30.0
     session_ttl_s: float = 300.0
     eviction_interval_s: float = 1.0

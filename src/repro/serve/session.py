@@ -153,7 +153,7 @@ class Session:
 class SessionManager:
     """The server's session table with TTL-based idle eviction."""
 
-    def __init__(self, *, ttl_s: float = 300.0, default_engine: str = "incremental"):
+    def __init__(self, *, ttl_s: float = 300.0, default_engine: str = "flat"):
         if ttl_s <= 0:
             raise ValueError(f"session TTL must be positive, got {ttl_s}")
         self.ttl_s = ttl_s

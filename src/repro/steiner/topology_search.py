@@ -28,7 +28,7 @@ from typing import Callable, List, Optional, Sequence, Set, Tuple
 
 from ..rctree.builder import TreeBuilder
 from ..rctree.engine import TimingEngine
-from ..rctree.incremental import IncrementalARD
+from ..rctree.flat import FlatARDEngine
 from ..rctree.topology import RoutingTree
 from ..tech.parameters import Technology
 from ..tech.terminals import Terminal
@@ -118,9 +118,9 @@ def synthesize_topology(
     ``engine_factory`` builds the timing oracle scoring each candidate
     topology (every candidate is a *different* tree, so the oracle is
     rebuilt per candidate).  The default is
-    :class:`~repro.rctree.incremental.IncrementalARD`, whose single-pass
-    record build skips the Eq. 2 pass and the per-node scalar table that a
-    full ``ard()`` would also materialize.  ``engine`` names a registered
+    :class:`~repro.rctree.flat.FlatARDEngine`, whose single kernel sweep
+    skips the Eq. 2 pass and the per-node scalar table that a full
+    ``ard()`` would also materialize.  ``engine`` names a registered
     engine (:func:`repro.rctree.registry.engine_names`) as a convenience —
     pass one or the other, not both.
 
@@ -187,7 +187,7 @@ def synthesize_topology(
             engine_factory = resolve_engine_factory(engine, tech)
         if engine_factory is None:
             def engine_factory(tree: RoutingTree) -> TimingEngine:
-                return IncrementalARD(tree, tech)
+                return FlatARDEngine(tree, tech)
 
         def evaluate(tree: RoutingTree) -> float:
             return engine_factory(tree).evaluate(tree).value

@@ -3,12 +3,13 @@
 The flat kernel (:mod:`repro.rctree.flat`) re-derives the Eq. 1 / Eq. 2 /
 Fig. 2 recursions as index loops over contiguous arrays.  Its contract is
 *bit identity* — not closeness — with the reference record pass
-(:func:`repro.core.ard.ard`) and the incremental engine, because every
-float expression was ported with an identical evaluation tree.  This suite
-holds that contract over ~500 randomized nets (varying fan-out, depth,
-degenerate chains and stars, random repeater assignments and wire widths),
-on both compile backends, with the runtime contracts armed
-(``REPRO_CHECK=1`` semantics via :func:`repro.check.contracts.checking`).
+(:func:`repro.core.ard.ard`), because every float expression was ported
+with an identical evaluation tree.  This suite holds that contract over
+~500 randomized nets (varying fan-out, depth, degenerate chains and stars,
+random repeater assignments and wire widths), for a fresh sweep and for the
+engine's dirty-path sweep after clearing and re-applying the knobs, with
+the runtime contracts armed (``REPRO_CHECK=1`` semantics via
+:func:`repro.check.contracts.checking`).
 
 Every assertion is ``==`` on floats by design: a single ULP of divergence
 is a porting bug, and rounding-tolerant comparisons would mask it.
@@ -17,8 +18,6 @@ is a porting bug, and rounding-tolerant comparisons would mask it.
 from __future__ import annotations
 
 import random
-
-import pytest
 
 from repro.check import contracts
 from repro.core.ard import ard
@@ -29,14 +28,11 @@ from repro.netgen.workloads import (
     paper_technology,
 )
 from repro.rctree.engine import EvalContext
-from repro.rctree.flat import HAVE_NUMPY, FlatARDEngine, evaluate_batch
-from repro.rctree.incremental import IncrementalARD
+from repro.rctree.flat import FlatARDEngine, evaluate_batch
 
 N_NETS = 500
 BASE_SEED = 0xF1A7
 SPACING_CHOICES = (400.0, 800.0, 1600.0, None)
-
-BACKENDS = ("python", "numpy") if HAVE_NUMPY else ("python",)
 
 
 def _random_case(seed: int):
@@ -91,29 +87,38 @@ class TestFlatDifferential:
             for seed in range(N_NETS):
                 tree, context = _random_case(seed)
                 ref = ard(tree, tech, context=context)
-                inc = IncrementalARD(tree, tech, context=context).evaluate()
-                assert inc.value == ref.value
-                assert (inc.source, inc.sink) == (ref.source, ref.sink)
-                for backend in BACKENDS:
-                    engine = FlatARDEngine(
-                        tree,
-                        tech,
-                        context=context,
-                        backend=backend,
-                        include_timing=True,
-                    )
-                    res = engine.evaluate()
-                    ctx = f"seed {seed} backend {backend}"
-                    assert res.value == ref.value, (
-                        f"{ctx}: {res.value!r} != {ref.value!r}"
-                    )
-                    assert (res.source, res.sink) == (ref.source, ref.sink), ctx
-                    _assert_timing_identical(res.timing, ref.timing, ctx)
+                engine = FlatARDEngine(
+                    tree, tech, context=context, include_timing=True
+                )
+                res = engine.evaluate()
+                ctx = f"seed {seed}"
+                assert res.value == ref.value, (
+                    f"{ctx}: {res.value!r} != {ref.value!r}"
+                )
+                assert (res.source, res.sink) == (ref.source, ref.sink), ctx
+                _assert_timing_identical(res.timing, ref.timing, ctx)
+
+                # clear every knob, evaluate, then re-apply them: the last
+                # sweep runs on the dirty root paths of the re-applied edits
+                for idx, rep in (context.assignment or {}).items():
+                    engine.set_assignment(idx, None)
+                for idx in context.wire_widths or {}:
+                    engine.set_wire_width(idx, None)
+                engine.evaluate()
+                for idx, rep in (context.assignment or {}).items():
+                    engine.set_assignment(idx, rep)
+                for idx, w in (context.wire_widths or {}).items():
+                    engine.set_wire_width(idx, w)
+                res = engine.evaluate()
+                ctx = f"seed {seed} dirty path"
+                assert res.value == ref.value, ctx
+                assert (res.source, res.sink) == (ref.source, ref.sink), ctx
+                _assert_timing_identical(res.timing, ref.timing, ctx)
                 checked += 1
         assert checked == N_NETS
 
     def test_path_delays_identical_across_engines(self):
-        """Every source→sink path delay agrees with both reference engines."""
+        """Every source→sink path delay agrees with the reference analyzer."""
         from repro.rctree.elmore import ElmoreAnalyzer
 
         tech = paper_technology()
@@ -121,7 +126,6 @@ class TestFlatDifferential:
             for seed in range(0, N_NETS, 25):
                 tree, context = _random_case(seed)
                 elmore = ElmoreAnalyzer(tree, tech, context=context)
-                inc = IncrementalARD(tree, tech, context=context)
                 flat = FlatARDEngine(tree, tech, context=context)
                 terminals = tree.terminal_indices()
                 sources = [
@@ -134,18 +138,16 @@ class TestFlatDifferential:
                         if dst == src:
                             continue
                         want = elmore.path_delay(src, dst)
-                        assert inc.path_delay(src, dst) == want, (seed, src, dst)
                         assert flat.path_delay(src, dst) == want, (seed, src, dst)
 
-    @pytest.mark.parametrize("backend", BACKENDS)
-    def test_batch_evaluation_matches_per_net(self, backend):
+    def test_batch_evaluation_matches_per_net(self):
         tech = paper_technology()
         cases = [_random_case(seed) for seed in range(0, N_NETS, 10)]
         nets = [tree for tree, _ in cases]
         contexts = [context for _, context in cases]
         with contracts.checking():
             batch = evaluate_batch(
-                nets, tech, contexts=contexts, backend=backend, include_timing=True
+                nets, tech, contexts=contexts, include_timing=True
             )
             assert len(batch) == len(nets)
             for (tree, context), res in zip(cases, batch):
@@ -153,20 +155,6 @@ class TestFlatDifferential:
                 assert res.value == ref.value
                 assert (res.source, res.sink) == (ref.source, ref.sink)
                 _assert_timing_identical(res.timing, ref.timing, "batch")
-
-    @pytest.mark.skipif(not HAVE_NUMPY, reason="needs both compile backends")
-    def test_backends_agree_with_each_other(self):
-        """python- and numpy-compiled nets produce identical columns."""
-        from repro.rctree.flat import compile_net
-
-        tech = paper_technology()
-        for seed in range(0, N_NETS, 7):
-            tree, context = _random_case(seed)
-            py = compile_net(tree, tech, context, use_numpy=False)
-            np_ = compile_net(tree, tech, context, use_numpy=True)
-            assert py.wire_cap == np_.wire_cap, seed
-            assert py.wire_res == np_.wire_res, seed
-            assert py.leaf_base == np_.leaf_base, seed
 
     def test_randomized_boundary_penalties(self):
         """Nonzero alpha/beta terms flow through identically (Sec. III)."""
@@ -180,9 +168,6 @@ class TestFlatDifferential:
                 )
                 tree = random_net(seed, rng.randint(3, 7), spec)
                 ref = ard(tree, tech)
-                for backend in BACKENDS:
-                    res = FlatARDEngine(
-                        tree, tech, backend=backend, include_timing=True
-                    ).evaluate()
-                    assert res.value == ref.value, seed
-                    _assert_timing_identical(res.timing, ref.timing, str(seed))
+                res = FlatARDEngine(tree, tech, include_timing=True).evaluate()
+                assert res.value == ref.value, seed
+                _assert_timing_identical(res.timing, ref.timing, str(seed))

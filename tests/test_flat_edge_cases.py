@@ -2,8 +2,7 @@
 role-less terminals and exact error parity with the reference engines.
 
 Everything here is numpy-free by construction (deterministic net builders
-only, ``backend="python"``), so this module runs verbatim on the
-without-numpy CI leg.
+only), so this module runs verbatim on the without-numpy CI leg.
 """
 
 from __future__ import annotations
@@ -21,9 +20,11 @@ from repro.netgen.workloads import (
     paper_technology,
 )
 from repro.rctree.builder import TreeBuilder
+from repro.rctree.elmore import ElmoreAnalyzer
 from repro.rctree.engine import EvalContext
-from repro.rctree.flat import HAVE_NUMPY, FlatARDEngine
-from repro.rctree.incremental import IncrementalARD
+from repro.rctree.flat import FlatARDEngine
+from repro.rctree.incremental import EvalState
+from repro.rctree.topology import Node, RoutingTree
 from repro.tech.terminals import NEVER, Terminal
 
 TECH = paper_technology()
@@ -48,8 +49,22 @@ def _two_node_net(*, src_alpha=0.0, snk_alpha=0.0, snk_beta=0.0):
 
 
 def _flat(tree, context=None, **kw):
-    kw.setdefault("backend", "python")
     return FlatARDEngine(tree, TECH, context=context, **kw)
+
+
+def _with_terminals(tree, overrides):
+    """The tree with terminal payloads replaced — an edit made static."""
+    nodes = [
+        Node(n.index, n.x, n.y, n.kind, overrides[n.index])
+        if n.index in overrides
+        else n
+        for n in tree.nodes
+    ]
+    return RoutingTree(
+        nodes,
+        [tree.parent(i) for i in range(len(tree))],
+        [tree.edge_length(i) for i in range(len(tree))],
+    )
 
 
 def _same_error(make_reference, make_flat):
@@ -113,7 +128,7 @@ class TestDepthStress:
         assert res.value == ref.value
         assert (res.source, res.sink) == (ref.source, ref.sink)
         head, tail = res.source, res.sink
-        assert engine.path_delay(head, tail) == IncrementalARD(
+        assert engine.path_delay(head, tail) == ElmoreAnalyzer(
             tree, TECH
         ).path_delay(head, tail)
 
@@ -148,16 +163,20 @@ class TestRolelessTerminals:
             else:
                 overrides[idx] = term.as_source_only()
         flat = _flat(tree, include_timing=True)
-        inc = IncrementalARD(tree, TECH)
+        flat.evaluate()  # role changes then run on the dirty path
         for idx, term in overrides.items():
             flat.set_terminal(idx, term)
-            inc.set_terminal(idx, term)
         with contracts.checking():
-            assert flat.evaluate().value == inc.evaluate().value
+            res = flat.evaluate()
+            ref = ard(_with_terminals(tree, overrides), TECH)
+        assert res.value == ref.value
+        assert (res.source, res.sink) == (ref.source, ref.sink)
+        assert res.timing == ref.timing
 
 
 class TestErrorParity:
-    """The flat compiler re-raises the EvalState validation errors verbatim."""
+    """The flat compiler re-raises the EvalState validation errors verbatim,
+    and path queries raise the reference analyzer's errors."""
 
     def _tree(self):
         return chain_net(4, paper_net_spec())
@@ -167,7 +186,7 @@ class TestErrorParity:
         rep = paper_repeater_library().oriented_options()[0]
         ctx = EvalContext(assignment={999: rep})
         _same_error(
-            lambda: IncrementalARD(tree, TECH, context=ctx),
+            lambda: EvalState(tree, TECH, ctx),
             lambda: _flat(tree, ctx),
         )
 
@@ -176,7 +195,7 @@ class TestErrorParity:
         rep = paper_repeater_library().oriented_options()[0]
         ctx = EvalContext(assignment={tree.root: rep})
         _same_error(
-            lambda: IncrementalARD(tree, TECH, context=ctx),
+            lambda: EvalState(tree, TECH, ctx),
             lambda: _flat(tree, ctx),
         )
 
@@ -185,7 +204,7 @@ class TestErrorParity:
         idx = tree.insertion_indices()[0]
         ctx = EvalContext(assignment={idx: "not-a-repeater"})
         _same_error(
-            lambda: IncrementalARD(tree, TECH, context=ctx),
+            lambda: EvalState(tree, TECH, ctx),
             lambda: _flat(tree, ctx),
         )
 
@@ -193,7 +212,7 @@ class TestErrorParity:
         tree = self._tree()
         ctx = EvalContext(wire_widths={1: 0.0})
         _same_error(
-            lambda: IncrementalARD(tree, TECH, context=ctx),
+            lambda: EvalState(tree, TECH, ctx),
             lambda: _flat(tree, ctx),
         )
 
@@ -201,22 +220,22 @@ class TestErrorParity:
         tree = self._tree()
         ctx = EvalContext(wire_widths={tree.root: 1.5})
         _same_error(
-            lambda: IncrementalARD(tree, TECH, context=ctx),
+            lambda: EvalState(tree, TECH, ctx),
             lambda: _flat(tree, ctx),
         )
 
     def test_path_delay_error_parity(self):
         tree = self._tree()
         flat = _flat(tree)
-        inc = IncrementalARD(tree, TECH)
+        ref = ElmoreAnalyzer(tree, TECH)
         steiner_or_ip = tree.insertion_indices()[0]
         a, b = tree.terminal_indices()[:2]
         _same_error(
-            lambda: inc.path_delay(steiner_or_ip, b),
+            lambda: ref.path_delay(steiner_or_ip, b),
             lambda: flat.path_delay(steiner_or_ip, b),
         )
         _same_error(
-            lambda: inc.path_delay(a, a),
+            lambda: ref.path_delay(a, a),
             lambda: flat.path_delay(a, a),
         )
 
@@ -229,27 +248,9 @@ class TestErrorParity:
         ][0]
         term = tree.node(sink).terminal.as_sink_only()
         flat = _flat(tree)
-        inc = IncrementalARD(tree, TECH)
+        ref = ElmoreAnalyzer(_with_terminals(tree, {sink: term}), TECH)
         flat.set_terminal(sink, term)
-        inc.set_terminal(sink, term)
         _same_error(
-            lambda: inc.path_delay(sink, tree.root),
+            lambda: ref.path_delay(sink, tree.root),
             lambda: flat.path_delay(sink, tree.root),
         )
-
-
-class TestBackendResolution:
-    def test_unknown_backend_rejected(self):
-        tree = _two_node_net()
-        with pytest.raises(ValueError, match="unknown backend"):
-            FlatARDEngine(tree, TECH, backend="fortran")
-
-    @pytest.mark.skipif(HAVE_NUMPY, reason="exercises the no-numpy path")
-    def test_numpy_backend_unavailable_raises(self):
-        tree = _two_node_net()
-        with pytest.raises(ValueError, match="numpy is not installed"):
-            FlatARDEngine(tree, TECH, backend="numpy")
-
-    def test_auto_small_net_is_python(self):
-        tree = _two_node_net()
-        assert FlatARDEngine(tree, TECH, backend="auto").backend == "python"

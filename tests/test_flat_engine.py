@@ -2,15 +2,16 @@
 
 The differential suite (``test_flat_differential.py``) locks down numeric
 identity; this module covers the engine *surface*: the TimingEngine
-protocol, incremental mutation parity against :class:`IncrementalARD`,
-the compile cache and canonical keys, the engine registry, and the
-parallel batch front-end.  Deterministic net builders only, so the whole
+protocol, dirty-path mutation parity against a freshly built engine on the
+edited net, the compile cache and canonical keys, the engine registry, and
+the parallel batch front-end.  Deterministic net builders only, so the whole
 module also runs on the without-numpy CI leg.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import importlib.util
 
 import pytest
 
@@ -25,13 +26,11 @@ from repro.netgen.workloads import (
 )
 from repro.rctree.engine import EvalContext
 from repro.rctree.flat import (
-    HAVE_NUMPY,
     FlatARDEngine,
     FlatNetCache,
     canonical_net_key,
     evaluate_batch,
 )
-from repro.rctree.incremental import IncrementalARD
 from repro.rctree.registry import engine_names, make_engine, resolve_engine_factory
 
 TECH = paper_technology()
@@ -54,7 +53,6 @@ class TestEngineProtocol:
         assert engine.tree is tree
         assert engine.technology is TECH
         assert engine.assignment == {}
-        assert engine.backend in ("python", "numpy")
         result = engine.evaluate()
         assert engine.evaluate() is result  # cached until edited
 
@@ -74,13 +72,18 @@ class TestEngineProtocol:
         assert got.include_companion_cap is False
 
 
+def _rebuilt(engine, tree):
+    """A freshly compiled engine posing the edited engine's problem."""
+    return FlatARDEngine(tree, TECH, context=engine.context)
+
+
 class TestMutationParity:
-    """Every mutation op stays bit-identical to IncrementalARD, op by op."""
+    """Every mutation op, evaluated on the dirty path, stays bit-identical
+    to an engine compiled from scratch on the edited net."""
 
     def test_assignment_edit_sequence(self):
         tree = _net("chain", 10)
         flat = FlatARDEngine(tree, TECH)
-        inc = IncrementalARD(tree, TECH)
         points = tree.insertion_indices()
         script = [
             (points[0], _rep(0)),
@@ -91,37 +94,32 @@ class TestMutationParity:
         with contracts.checking():
             for idx, rep in script:
                 flat.set_assignment(idx, rep)
-                inc.set_assignment(idx, rep)
-                assert flat.evaluate().value == inc.evaluate().value, (idx, rep)
+                fresh = _rebuilt(flat, tree).evaluate()
+                assert flat.evaluate().value == fresh.value, (idx, rep)
 
     def test_terminal_and_width_edits(self):
         tree = _net("star", 5)
         flat = FlatARDEngine(tree, TECH)
-        inc = IncrementalARD(tree, TECH)
         t_idx = tree.terminal_indices()[1]
         new_term = dataclasses.replace(
             tree.node(t_idx).terminal, arrival_time=42.0, capacitance=0.11
         )
         with contracts.checking():
             flat.set_terminal(t_idx, new_term)
-            inc.set_terminal(t_idx, new_term)
-            assert flat.evaluate().value == inc.evaluate().value
+            assert flat.evaluate().value == flat.fresh_result().value
             edge = [i for i in range(len(tree)) if i != tree.root][1]
             flat.set_wire_width(edge, 2.5)
-            inc.set_wire_width(edge, 2.5)
-            assert flat.evaluate().value == inc.evaluate().value
+            assert flat.evaluate().value == flat.fresh_result().value
             flat.set_wire_width(edge, None)
-            inc.set_wire_width(edge, None)
-            assert flat.evaluate().value == inc.evaluate().value
+            assert flat.evaluate().value == flat.fresh_result().value
 
     def test_wire_scale_edits(self):
         tree = _net("chain", 8)
         flat = FlatARDEngine(tree, TECH)
-        inc = IncrementalARD(tree, TECH)
+        flat.evaluate()
         with contracts.checking():
             flat.set_wire_scale(resistance_factor=1.2, capacitance_factor=0.9)
-            inc.set_wire_scale(resistance_factor=1.2, capacitance_factor=0.9)
-            assert flat.evaluate().value == inc.evaluate().value
+            assert flat.evaluate().value == flat.fresh_result().value
 
     def test_fresh_result_matches_cached(self):
         tree = _net("chain", 10)
@@ -204,9 +202,7 @@ class TestRegistry:
     def test_engine_names_is_sorted_and_complete(self):
         names = engine_names()
         assert names == tuple(sorted(names))
-        for expected in ("reference", "elmore", "incremental", "flat",
-                         "flat-python", "flat-numpy"):
-            assert expected in names
+        assert names == ("elmore", "flat", "reference")
 
     def test_unknown_engine_rejected(self):
         with pytest.raises(ValueError, match="unknown engine"):
@@ -217,15 +213,12 @@ class TestRegistry:
     def test_all_engines_agree_on_value(self):
         tree = _net("chain", 8)
         ref = ard(tree, TECH).value
-        names = ["reference", "elmore", "incremental", "flat", "flat-python"]
-        if HAVE_NUMPY:
-            names.append("flat-numpy")
-        for name in names:
+        for name in engine_names():
             engine = make_engine(name, tree, TECH)
             assert engine.evaluate(tree).value == ref, name
 
     def test_factory_builds_per_tree_engines(self):
-        factory = resolve_engine_factory("flat-python", TECH)
+        factory = resolve_engine_factory("flat", TECH)
         for tree in (_net("chain", 4), _net("star", 3)):
             assert factory(tree).evaluate(tree).value == ard(tree, TECH).value
 
@@ -235,11 +228,8 @@ class TestRegistry:
 
         tree = _net("chain", 4)
         names = editable_engine_names()
-        assert "incremental" in names and "flat" in names
-        assert "reference" not in names and "elmore" not in names
+        assert names == ("flat",)
         for name in names:
-            if name == "flat-numpy" and not HAVE_NUMPY:
-                continue
             engine = make_engine(name, tree, TECH)
             assert isinstance(engine, EditableEngine), name
         assert not isinstance(make_engine("reference", tree, TECH),
@@ -249,7 +239,7 @@ class TestRegistry:
         from repro.rctree.registry import make_editable_engine
 
         tree = _net("chain", 4)
-        engine = make_editable_engine("incremental", tree, TECH)
+        engine = make_editable_engine("flat", tree, TECH)
         assert engine.evaluate().value == ard(tree, TECH).value
         with pytest.raises(ValueError, match="not editable"):
             make_editable_engine("reference", tree, TECH)
@@ -257,30 +247,32 @@ class TestRegistry:
             make_editable_engine("nope", tree, TECH)
 
     def test_flat_reroot_matches_incremental(self):
+        """Reroot replays widths, scales and overrides, and the dirty path
+        keeps agreeing with a fresh reference pass after it."""
         tree = _net("chain", 7)
         terms = list(tree.terminal_indices())
-        inc = make_engine("incremental", tree, TECH)
-        fl = make_engine("flat-python", tree, TECH)
+        fl = make_engine("flat", tree, TECH)
         edges = [i for i in range(len(tree)) if tree.parent(i) is not None]
-        for eng in (inc, fl):
-            eng.set_wire_width(edges[1], 2.0)
-            eng.set_wire_scale(resistance_factor=1.2, capacitance_factor=0.8)
-            eng.reroot(terms[-1])
-        assert fl.evaluate().value == inc.evaluate().value
+        fl.set_wire_width(edges[1], 2.0)
+        fl.set_wire_scale(resistance_factor=1.2, capacitance_factor=0.8)
+        fl.evaluate()
+        fl.reroot(terms[-1])
+        assert fl.tree.root == terms[-1]
+        assert fl.evaluate().value == fl.fresh_result().value
         # edits keep agreeing after the structural change
-        edges2 = [i for i in range(len(inc.tree))
-                  if inc.tree.parent(i) is not None]
-        for eng in (inc, fl):
-            eng.set_wire_width(edges2[0], 3.0)
-            eng.reroot(terms[0])
-        assert fl.evaluate().value == inc.evaluate().value
+        edges2 = [i for i in range(len(fl.tree))
+                  if fl.tree.parent(i) is not None]
+        fl.set_wire_width(edges2[0], 3.0)
+        assert fl.evaluate().value == fl.fresh_result().value
+        fl.reroot(terms[0])
+        assert fl.evaluate().value == fl.fresh_result().value
 
     def test_greedy_accepts_engine_name(self):
         from repro.baselines.greedy import greedy_insertion
 
         tree = _net("chain", 6)
         lib = paper_repeater_library()
-        by_name = greedy_insertion(tree, TECH, lib, engine="flat-python")
+        by_name = greedy_insertion(tree, TECH, lib, engine="flat")
         by_default = greedy_insertion(tree, TECH, lib)
         assert [(s.cost, s.ard) for s in by_name] == [
             (s.cost, s.ard) for s in by_default
@@ -305,7 +297,7 @@ class TestBatch:
         idx_ok = [t.insertion_indices() for t in nets]
         ctx = EvalContext(include_companion_cap=True)
         assert idx_ok  # corpus sanity
-        batch = evaluate_batch(nets, TECH, contexts=ctx, backend="python")
+        batch = evaluate_batch(nets, TECH, contexts=ctx)
         for tree, res in zip(nets, batch):
             assert res.value == ard(tree, TECH, context=ctx).value
 
@@ -331,14 +323,22 @@ class TestBatch:
         assert cache.hits == len(nets)
 
 
-@pytest.mark.skipif(not HAVE_NUMPY, reason="monte_carlo_ard requires numpy")
+@pytest.mark.skipif(
+    importlib.util.find_spec("numpy") is None,
+    reason="monte_carlo_ard requires numpy",
+)
 class TestVariationIntegration:
     def test_monte_carlo_flat_matches_incremental(self):
+        """The sweep's per-sample edits, evaluated on the dirty path, equal
+        the same sweep with every evaluation cross-checked bit-for-bit
+        against a fresh reference pass."""
         from repro.analysis.variation import monte_carlo_ard
 
         tree = _net("chain", 8)
         rep = {tree.insertion_indices()[1]: _rep()}
-        a = monte_carlo_ard(tree, TECH, rep, samples=8, seed=3)
-        b = monte_carlo_ard(tree, TECH, rep, samples=8, seed=3, engine="flat")
+        with contracts.checking(False):
+            a = monte_carlo_ard(tree, TECH, rep, samples=8, seed=3)
+        with contracts.checking():
+            b = monte_carlo_ard(tree, TECH, rep, samples=8, seed=3, engine="flat")
         assert a.samples == b.samples
         assert a.nominal == b.nominal

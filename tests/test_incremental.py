@@ -1,11 +1,12 @@
-"""Differential tests for the incremental ARD engine and the TimingEngine API.
+"""Differential tests for dirty-root-path ARD and the TimingEngine API.
 
-The load-bearing property: :class:`IncrementalARD` shares the Fig. 2 combine
-step with the full :func:`compute_ard` pass, so after *any* edit sequence
-its value and critical pair must equal a fresh full pass **bit for bit** —
-no tolerances.  Independence from the shared implementation comes from the
-O(n²) :func:`bruteforce_ard` / :meth:`ard_bruteforce` oracles, checked to
-float tolerance.
+The load-bearing property: :class:`FlatARDEngine` re-runs its kernel over
+the dirty root paths of each edit, and its kernel ports the Fig. 2 combine
+step of the full :func:`compute_ard` pass, so after *any* edit sequence its
+value and critical pair must equal a fresh full pass **bit for bit** — no
+tolerances.  Independence from the shared algebra comes from the O(n²)
+:func:`bruteforce_ard` / :meth:`ard_bruteforce` oracles, checked to float
+tolerance.
 """
 
 from __future__ import annotations
@@ -22,13 +23,15 @@ from repro.core.ard import ard, compute_ard
 from repro.core.msri import MSRIOptions, insert_repeaters
 from repro.netgen import paper_repeater_library, paper_technology, random_net
 from repro.netgen.workloads import paper_net_spec
+from repro.obs import core as obs
 from repro.rctree import (
     ElmoreAnalyzer,
     EvalContext,
-    IncrementalARD,
+    FlatARDEngine,
     SlewAnalyzer,
     TimingEngine,
 )
+from repro.rctree.incremental import EvalState
 from repro.rctree.topology import Node, NodeKind, RoutingTree
 from repro.sim import SimulationEngine
 from repro.tech import Repeater, Technology
@@ -63,7 +66,7 @@ class TestFreshBuild:
     def test_matches_compute_ard_bitwise(self):
         for seed in range(8):
             tree = random_net(seed, 8 + seed, paper_net_spec(), spacing=800.0)
-            inc = IncrementalARD(tree, PAPER_TECH).evaluate()
+            inc = FlatARDEngine(tree, PAPER_TECH).evaluate()
             full = full_pass(tree, EvalContext())
             assert inc.value == full.value
             assert (inc.source, inc.sink) == (full.source, full.sink)
@@ -72,25 +75,26 @@ class TestFreshBuild:
         rng = np.random.default_rng(11)
         for _ in range(10):
             t = random_topology(rng, n_terminals=int(rng.integers(2, 8)))
-            engine = IncrementalARD(t, TECH)
+            engine = FlatARDEngine(t, TECH)
             brute = ElmoreAnalyzer(t, TECH).ard_bruteforce()
             assert engine.evaluate().value == pytest.approx(brute, rel=1e-9)
 
     def test_empty_timing_table(self):
-        res = IncrementalARD(y_net(), TECH).evaluate()
+        res = FlatARDEngine(y_net(), TECH).evaluate()
         assert res.timing == {}
         assert res.is_finite
 
 
 class TestRandomizedEditSequence:
-    """The ISSUE's 500-mixed-edit differential: after *every* edit the
-    incremental value and critical pair equal a fresh full pass exactly,
-    and (sampled) the independent O(n²) brute force to tolerance."""
+    """A 250-mixed-edit differential: after *every* edit the dirty-path
+    value and critical pair equal a fresh full pass exactly, and (sampled)
+    the independent O(n²) brute force to tolerance.  Contracts stay off,
+    so what is tested is the dirty path itself, not its runtime cross-check."""
 
     @pytest.mark.parametrize("seed", [0, 1])
     def test_edit_sequence_differential(self, seed):
         tree = random_net(seed, 12, paper_net_spec(), spacing=800.0)
-        engine = IncrementalARD(tree, PAPER_TECH)
+        engine = FlatARDEngine(tree, PAPER_TECH)
         rng = random.Random(1000 + seed)
         insertion_points = list(tree.insertion_indices())
         terminals = list(tree.terminal_indices())
@@ -124,7 +128,12 @@ class TestRandomizedEditSequence:
                 engine.set_terminal(t, override)
                 overrides[t] = override
 
-            inc = engine.evaluate()
+            with contracts.checking(False):
+                inc = engine.evaluate()
+                fresh = engine.fresh_result()
+            assert (inc.value, inc.source, inc.sink) == (
+                fresh.value, fresh.source, fresh.sink
+            ), f"step {step}"
             shadow = shadow_with_overrides(tree, overrides)
             full = compute_ard(
                 ElmoreAnalyzer(
@@ -147,7 +156,7 @@ class TestRandomizedEditSequence:
         from repro.tech import WireClass
 
         t = two_pin_net()
-        engine = IncrementalARD(t, TECH)
+        engine = FlatARDEngine(t, TECH)
         edge = next(i for i in range(len(t)) if t.parent(i) is not None)
         engine.set_wire_width(edge, WireClass("w2", width=2.0, cost_per_um=0.0))
         ref = ard(t, TECH, context=EvalContext(wire_widths={edge: 2.0}))
@@ -160,12 +169,12 @@ class TestMutationOps:
     def test_reroot_matches_fresh_engine(self):
         for seed in range(3):
             tree = random_net(seed, 9, paper_net_spec(), spacing=800.0)
-            engine = IncrementalARD(tree, PAPER_TECH)
+            engine = FlatARDEngine(tree, PAPER_TECH)
             baseline = engine.evaluate().value
             for new_root in tree.terminal_indices()[1:3]:
-                engine2 = IncrementalARD(tree, PAPER_TECH)
+                engine2 = FlatARDEngine(tree, PAPER_TECH)
                 engine2.reroot(new_root)
-                fresh = IncrementalARD(tree.rerooted(new_root), PAPER_TECH)
+                fresh = FlatARDEngine(tree.rerooted(new_root), PAPER_TECH)
                 a, b = engine2.evaluate(), fresh.evaluate()
                 assert a.value == b.value
                 assert (a.source, a.sink) == (b.source, b.sink)
@@ -180,7 +189,7 @@ class TestMutationOps:
         widths = {
             i: 2.0 for i in range(len(tree)) if tree.parent(i) is not None
         }
-        engine = IncrementalARD(
+        engine = FlatARDEngine(
             tree, TECH, context=EvalContext(wire_widths=widths)
         )
         engine.reroot(other_root)
@@ -193,7 +202,7 @@ class TestMutationOps:
 
     def test_set_wire_scale_matches_scaled_technology(self):
         tree = random_net(3, 10, paper_net_spec(), spacing=800.0)
-        engine = IncrementalARD(tree, PAPER_TECH)
+        engine = FlatARDEngine(tree, PAPER_TECH)
         engine.set_wire_scale(resistance_factor=1.3, capacitance_factor=0.85)
         scaled = Technology(
             PAPER_TECH.unit_resistance * 1.3,
@@ -209,7 +218,7 @@ class TestMutationOps:
 
     def test_validation(self):
         tree = two_pin_net()
-        engine = IncrementalARD(tree, TECH)
+        engine = FlatARDEngine(tree, TECH)
         with pytest.raises(ValueError):
             engine.set_assignment(tree.root, OPTIONS[0])  # not an insertion node
         with pytest.raises(ValueError):
@@ -223,13 +232,119 @@ class TestMutationOps:
                                 make_terminal("x", 0, 0))
 
 
+    def test_clear_assignment_rejects_unknown_node(self):
+        tree = random_net(0, 5, paper_net_spec(), spacing=800.0)
+        engine = FlatARDEngine(tree, PAPER_TECH)
+        m = list(tree.insertion_indices())[-1]
+        engine.set_assignment(m, OPTIONS[0])
+        before = engine.evaluate()
+        for bad in (len(tree), 999, -1):
+            with pytest.raises(ValueError, match="unknown node"):
+                engine.set_assignment(bad, None)
+            with pytest.raises(ValueError, match="unknown node"):
+                engine.set_assignment(bad, OPTIONS[0])
+        # the rejected clears left the assignment and the answer alone
+        assert engine.assignment == {m: OPTIONS[0]}
+        after = engine.evaluate()
+        fresh = engine.fresh_result()
+        assert (after.value, after.source, after.sink) == (
+            before.value, before.source, before.sink
+        )
+        assert (fresh.value, fresh.source, fresh.sink) == (
+            before.value, before.source, before.sink
+        )
+
+    def test_path_delay_rejects_unknown_node(self):
+        tree = y_net()
+        engine = FlatARDEngine(tree, TECH)
+        for bad in (len(tree), -1):
+            with pytest.raises(ValueError, match="must be terminals"):
+                engine.path_delay(bad, tree.root)
+            with pytest.raises(ValueError, match="must be terminals"):
+                engine.path_delay(tree.root, bad)
+
+
+def _kernel_counts(engine, edit):
+    """The ``flat.*`` counters and sweep lengths of one edit plus evaluate."""
+    with obs.observing():
+        obs.reset()
+        edit(engine)
+        engine.evaluate()
+        snap = obs.snapshot(reset=True)
+    counts = {
+        k: int(v) for k, v in snap["counters"].items() if k.startswith("flat.")
+    }
+    path = snap["hists"].get("flat.refresh.path_length")
+    if path is not None:  # [count, sum, min, max]
+        counts["flat.refresh.path_length"] = int(path[1])
+    return counts
+
+
+class TestDirtyPath:
+    """An edit re-sweeps its dirty root paths, not the tree."""
+
+    def test_leaf_edit_sweeps_only_its_root_path(self):
+        tree = random_net(3, 12, paper_net_spec(), spacing=800.0)
+        engine = FlatARDEngine(tree, PAPER_TECH)
+        full = _kernel_counts(engine, lambda e: None)
+        assert full == {"flat.kernel.nodes": len(tree) - 1}
+
+        leaf = next(t for t in tree.terminal_indices() if t != tree.root)
+        depth = 0
+        v = leaf
+        while tree.parent(v) != tree.root:
+            v = tree.parent(v)
+            depth += 1
+        base = tree.node(leaf).terminal
+        heavier = dataclasses.replace(base, capacitance=base.capacitance * 3)
+        counts = _kernel_counts(engine, lambda e: e.set_terminal(leaf, heavier))
+        # a load change at a leaf moves every record up to the root, and
+        # nothing else is swept: no full pass ran
+        assert counts["flat.refresh.dirty_seeds"] == 1
+        assert counts["flat.refresh.records_unchanged"] == 0
+        assert counts["flat.refresh.path_length"] == depth + 1
+        assert "flat.kernel.nodes" not in counts
+        assert depth + 1 < len(tree) - 1
+
+    def test_unchanged_record_stops_the_walk(self):
+        tree = random_net(3, 12, paper_net_spec(), spacing=800.0)
+        engine = FlatARDEngine(tree, PAPER_TECH)
+        engine.evaluate()
+        m = next(iter(tree.insertion_indices()))
+        counts = _kernel_counts(engine, lambda e: e.set_assignment(m, None))
+        assert counts["flat.refresh.records_unchanged"] == 1
+        assert counts["flat.refresh.path_length"] == 1
+
+    def test_batched_edits_sweep_each_node_once(self):
+        tree = random_net(4, 12, paper_net_spec(), spacing=800.0)
+        engine = FlatARDEngine(tree, PAPER_TECH)
+        engine.evaluate()
+        points = list(tree.insertion_indices())
+
+        def edit(e):
+            for idx in points:
+                e.set_assignment(idx, OPTIONS[0])
+
+        counts = _kernel_counts(engine, edit)
+        # the root paths of all edits, shared prefixes counted once
+        union = set()
+        for v in points:
+            while v != tree.root:
+                union.add(v)
+                v = tree.parent(v)
+        assert counts["flat.refresh.dirty_seeds"] == len(points)
+        assert counts["flat.refresh.path_length"] == len(union)
+        fresh = engine.fresh_result()
+        assert engine.evaluate().value == fresh.value
+
+
 class TestTimingEngineProtocol:
     def test_all_engines_conform(self):
         t = y_net()
         engines = [
             ElmoreAnalyzer(t, TECH),
             SlewAnalyzer(t, TECH),
-            IncrementalARD(t, TECH),
+            FlatARDEngine(t, TECH),
             SimulationEngine(t, TECH),
         ]
         for engine in engines:
@@ -241,7 +356,7 @@ class TestTimingEngineProtocol:
     def test_engines_agree_on_unbuffered_net(self):
         t = y_net()
         reference = ard(t, TECH).value
-        for engine in (IncrementalARD(t, TECH), SimulationEngine(t, TECH)):
+        for engine in (FlatARDEngine(t, TECH), SimulationEngine(t, TECH)):
             assert engine.evaluate().value == pytest.approx(reference, rel=1e-9)
         # the slew engine collapses to plain Elmore at slew_to_delay = 0
         from repro.rctree.slew import SlewModel
@@ -254,7 +369,7 @@ class TestTimingEngineProtocol:
         for engine in (
             ElmoreAnalyzer(t, TECH),
             SlewAnalyzer(t, TECH),
-            IncrementalARD(t, TECH),
+            FlatARDEngine(t, TECH),
             SimulationEngine(t, TECH),
         ):
             with pytest.raises(ValueError):
@@ -268,7 +383,7 @@ class TestTimingEngineProtocol:
             for idx in list(tree.insertion_indices())[::3]
         }
         context = EvalContext(assignment=assignment)
-        engine = IncrementalARD(tree, PAPER_TECH, context=context)
+        engine = FlatARDEngine(tree, PAPER_TECH, context=context)
         analyzer = ElmoreAnalyzer(tree, PAPER_TECH, context=context)
         sim = SimulationEngine(tree, PAPER_TECH, context=context)
         terminals = tree.terminal_indices()
@@ -369,7 +484,7 @@ class TestInsertRepeatersContext:
 
 
 class FullRecomputeEngine:
-    """The pre-incremental oracle: a fresh full pass per probe."""
+    """The dirty-path-free oracle: a fresh full reference pass per probe."""
 
     def __init__(self, tree, tech):
         self._tree = tree
@@ -479,19 +594,19 @@ class TestContracts:
     def test_evaluate_cross_checks_under_repro_check(self):
         tree = random_net(6, 8, paper_net_spec(), spacing=800.0)
         with contracts.checking():
-            engine = IncrementalARD(tree, PAPER_TECH)
+            engine = FlatARDEngine(tree, PAPER_TECH)
             m = next(iter(tree.insertion_indices()))
             engine.set_assignment(m, OPTIONS[0])
             assert engine.evaluate().is_finite
 
     def test_verifier_raises_on_divergence(self):
         tree = y_net()
-        engine = IncrementalARD(tree, TECH)
-        good = engine.evaluate()
-        contracts.verify_incremental_consistency(good, engine)  # passes
+        good = FlatARDEngine(tree, TECH).evaluate()
+        state = EvalState(tree, TECH)
+        contracts.verify_flat_consistency(good, state)  # passes
         bad_value = dataclasses.replace(good, value=good.value + 1.0)
         with pytest.raises(contracts.ContractViolation):
-            contracts.verify_incremental_consistency(bad_value, engine)
+            contracts.verify_flat_consistency(bad_value, state)
         bad_pair = dataclasses.replace(good, sink=good.source)
         with pytest.raises(contracts.ContractViolation):
-            contracts.verify_incremental_consistency(bad_pair, engine)
+            contracts.verify_flat_consistency(bad_pair, state)

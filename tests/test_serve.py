@@ -132,8 +132,8 @@ class TestWireCodecs:
 class TestSessionLayer:
     def test_apply_edit_matches_direct_calls(self):
         tree = chain_net(5, paper_net_spec())
-        via_frames = make_editable_engine("incremental", tree, TECH)
-        direct = make_editable_engine("incremental", tree, TECH)
+        via_frames = make_editable_engine("flat", tree, TECH)
+        direct = make_editable_engine("flat", tree, TECH)
         rep = paper_repeater_library().repeaters[0]
         ins = sorted(tree.insertion_indices())[0]
 
@@ -152,7 +152,7 @@ class TestSessionLayer:
         assert via_frames.evaluate().value == direct.evaluate().value
 
     def test_apply_edit_rejects_unknown_and_malformed(self):
-        engine = make_editable_engine("incremental", _net(), TECH)
+        engine = make_editable_engine("flat", _net(), TECH)
         with pytest.raises(WireProtocolError, match="unknown edit op"):
             apply_edit(engine, {"edit": "explode"})
         with pytest.raises(WireProtocolError, match="malformed"):
@@ -182,15 +182,14 @@ class TestSessionLayer:
 class TestServer:
     def test_hello_reports_editable_engines(self, client):
         resp = client.check("hello")
-        assert "incremental" in resp["engines"]
-        assert "reference" not in resp["engines"]
-        assert resp["default_engine"] == "incremental"
+        assert resp["engines"] == ["flat"]
+        assert resp["default_engine"] == "flat"
 
     def test_session_stream_matches_direct_engine(self, client):
         tree = _net(2)
         resp = client.check("open", net=tree_to_dict(tree))
         sid = resp["session"]
-        direct = make_editable_engine("incremental", tree, TECH)
+        direct = make_editable_engine("flat", tree, TECH)
         assert resp["n"] == len(tree)
         assert resp["ard"] == ard_result_to_dict(direct.evaluate())
 
@@ -219,18 +218,10 @@ class TestServer:
         assert resp["ard"] == ard_result_to_dict(expected, include_timing=True)
         assert resp["ard"]["timing"]  # non-empty per-node table
 
-    def test_incremental_engine_rejects_timing_request(self, client):
-        resp = client.request(
-            "open", net=tree_to_dict(_net()), engine="incremental",
-            include_timing=True,
-        )
-        assert resp["ok"] is False
-        assert resp["error"]["code"] == "bad-request"
-
     def test_unknown_engine_lists_editable_names(self, client):
         resp = client.request("open", net=tree_to_dict(_net()), engine="nope")
         assert resp["ok"] is False
-        assert "incremental" in resp["error"]["message"]
+        assert "flat" in resp["error"]["message"]
 
     def test_malformed_frames_do_not_kill_the_connection(self, client):
         for raw in (
@@ -253,7 +244,7 @@ class TestServer:
     def test_engine_error_reports_and_preserves_session(self, client):
         tree = _net(3)
         sid = client.check("open", net=tree_to_dict(tree))["session"]
-        direct = make_editable_engine("incremental", tree, TECH)
+        direct = make_editable_engine("flat", tree, TECH)
         resp = client.request(
             "edit", session=sid, edit="set_wire_width", edge=1, width=-1.0
         )
@@ -261,6 +252,34 @@ class TestServer:
         # the rejected edit left the engine state untouched
         got = client.check("eval", session=sid)
         assert got["ard"] == ard_result_to_dict(direct.evaluate())
+        client.check("close", session=sid)
+
+    def test_out_of_range_edits_report_and_preserve_session(self, client):
+        tree = chain_net(5, paper_net_spec())
+        sid = client.check("open", net=tree_to_dict(tree))["session"]
+        direct = make_editable_engine("flat", tree, TECH)
+        m = sorted(tree.insertion_indices())[-1]
+        rep = paper_repeater_library().repeaters[0]
+        client.check(
+            "edit", session=sid, edit="set_assignment", node=m,
+            repeater=repeater_to_dict(rep),
+        )
+        direct.set_assignment(m, rep)
+        expected = ard_result_to_dict(direct.evaluate())
+        bad = [
+            {"edit": "set_assignment", "node": 999},
+            {"edit": "set_assignment", "node": -1},
+            {"edit": "set_assignment", "node": len(tree),
+             "repeater": repeater_to_dict(rep)},
+        ]
+        for edit in bad:
+            resp = client.request("edit", session=sid, **edit)
+            assert resp["ok"] is False, edit
+            assert resp["error"]["code"] == "engine-error", edit
+        resp = client.request("path_delay", session=sid, src=999, dst=tree.root)
+        assert resp["error"]["code"] == "engine-error"
+        # the connection and the session survive, and the answer is unchanged
+        assert client.check("eval", session=sid)["ard"] == expected
         client.check("close", session=sid)
 
     def test_one_shot_evaluate_matches_direct_batch(self, client):
@@ -456,7 +475,7 @@ class TestConcurrentDifferential:
             sessions=4,
             edits_per_session=10,
             seed=9,
-            engine="flat-python",
+            engine="flat",
         )
         assert report.ok, (report.mismatch_details, report.errors)
 
