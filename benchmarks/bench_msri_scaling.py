@@ -6,10 +6,11 @@ bounded-growth mechanisms this benchmark measures on the Table II
 workload:
 
 1. **Exact pre-filters** (``prefilter=True``, the default) — the Shi–Li
-   style predictive prescreen inside ``prune_one`` plus the sorted-front
-   candidate sweep before MFS.  Results are bit-identical to the pure
-   Fig. 4 pruner; only the wall-clock changes.  The benchmark asserts the
-   frontier identity on every measured net.
+   style predictive prescreen inside ``prune_one`` plus the predictive
+   repeater and join stages, which certify candidates dominated before
+   building them.  Results are bit-identical to the pure Fig. 4 pruner;
+   only the wall-clock changes.  The benchmark asserts the frontier
+   identity on every measured net.
 2. **Width cap** (``max_front_width`` + ``lossy``) — deterministic
    thinning of oversized fronts.  The capped column shows the p95/max
    surviving front widths dropping to the cap, the growth-curve evidence
@@ -23,10 +24,11 @@ Larger nets can be appended with ``--sizes``; note that the exact-mode
 speedup *tapers* as nets grow, because the fraction of candidate pairs
 whose dominance is genuinely partial rises with front width (11.4% at 28
 pins vs 8.5% at 22 on this workload) and the partial case pays for the
-full region machinery in both variants — measured speedups decay from
-~1.7x on the default curve to ~1.4-1.5x by 28 pins.  The default curve
-ends where the prescreen's advantage clears run-to-run machine noise
-with margin.
+full region machinery in both variants.  Before the predictive
+repeater and join stages, measured speedups decayed from ~1.7x on the
+default curve to ~1.4-1.5x by 28 pins; with them the default curve
+reads 2.0-2.6x.  The default curve ends where the prescreen's
+advantage clears run-to-run machine noise with margin.
 
 CI runs the smoke variant on a mid-size net::
 
@@ -133,8 +135,9 @@ def render(rows, cap: int) -> str:
         )
     table.add_note(
         "baseline: pure Fig. 4 MFS (prefilter=False); prefilter: exact "
-        "Shi-Li style prescreen + candidate sweep (bit-identical frontier "
-        "asserted per row); capped: max_front_width with lossy thinning."
+        "Shi-Li style prescreen + predictive repeater/join stages "
+        "(bit-identical frontier asserted per row); capped: "
+        "max_front_width with lossy thinning."
     )
     table.add_note("widths are per-node surviving-front sizes (docs/PRUNING.md).")
     return table.render()

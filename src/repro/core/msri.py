@@ -51,7 +51,6 @@ from .prefilter import (
     leq_status,
     line_leq_status,
     min_diam_lower_bound,
-    prefilter_front,
 )
 from .pwl import max_segment_count
 from .solution import (
@@ -163,9 +162,10 @@ class MSRIOptions:
 
     The bounded-growth knobs (``docs/PRUNING.md``):
 
-    * ``prefilter`` — Shi–Li style predictive pre-filters: the sorted-front
-      candidate sweep before MFS plus the allocation-free pair prescreen
-      inside it.  Exact (bit-identical fronts); on by default.
+    * ``prefilter`` — Shi–Li style predictive pruning: the allocation-free
+      pair prescreen inside MFS, and the predictive repeater stage and
+      predictive join, which certify candidates dominated before building
+      them.  Exact (bit-identical fronts); on by default.
     * ``max_front_width`` — candidate-front width cap per prune site.  In
       exact mode the cap only drops solutions whose diameter lower bound
       already exceeds ``spec`` (certified infeasible); if the front still
@@ -758,10 +758,10 @@ def _dominated(pieces: JoinPieces, killers: List[Solution]) -> bool:
     """Whether a killer certifies the joined pair ``pieces`` dominated.
 
     The killers are built pairs earlier in the MFS order whose scalars
-    are no worse under exact comparison; the rest of
-    :func:`~repro.core.prefilter.prefilter_front`'s full certificate is
-    domain containment and ``LEQ_FULL`` on ``arr`` and ``diam``,
-    classified by :func:`~repro.core.prefilter.leq_status` on the pieces
+    are no worse under exact comparison; the rest of the full certificate
+    (docs/ALGORITHMS.md §12) is domain containment and ``LEQ_FULL`` on
+    ``arr`` and ``diam``, classified by
+    :func:`~repro.core.prefilter.leq_status` on the pieces
     :func:`~repro.core.solution.join` builds the pair from.
     """
     domain, arr, diam = pieces
@@ -835,12 +835,11 @@ def _buffered_survivors(
     so each is :func:`~repro.core.solution.buffered_summary`'s scalars
     plus parity.  They are swept in the MFS order ``(parity, cost, cap,
     q, uid)`` — the parent index stands in for the uid, since siblings
-    are built in parent order — and a candidate is dropped under
-    :func:`~repro.core.prefilter.prefilter_front`'s full certificate
-    against an earlier survivor: exact scalar ``<=`` and ``LEQ_FULL`` on
-    both lines, classified by :func:`line_leq_status` exactly as
-    ``leq_status`` classifies the built functions (docs/ALGORITHMS.md
-    §15).
+    are built in parent order — and a candidate is dropped under the
+    full certificate against an earlier survivor: exact scalar ``<=`` and
+    ``LEQ_FULL`` on both lines, classified by :func:`line_leq_status`
+    exactly as ``leq_status`` classifies the built functions
+    (docs/ALGORITHMS.md §12, §15).
     """
     flip = 1 if rep.is_inverting else 0
     entries = []
@@ -1005,14 +1004,14 @@ def _domain_bound(
 def _make_pruner(options: MSRIOptions):
     """Compose the per-node pruning pipeline the DP runs at every vertex.
 
-    prefilter (exact drop of certified-dominated candidates) → MFS (with
-    the pair prescreen riding on the same knob) → width cap / segment
-    budget.  ``unbuilt`` counts candidates the insertion stage already
-    certified dominated without building them; the prefilter counters
-    include them.  Under ``REPRO_CHECK`` the pre-cap front is
-    additionally cross-checked against a prescreen-free MFS pass over the
-    *raw* candidates — the ``complete`` set when the caller skipped
-    some: exact mode must be bit-identical (docs/PRUNING.md).
+    MFS on the raw candidates (with the pair prescreen riding on the
+    ``prefilter`` knob) → width cap / segment budget.  ``unbuilt`` counts
+    candidates the predictive stages already certified dominated without
+    building them; they are the only drops the prefilter counters see.
+    Under ``REPRO_CHECK`` the pre-cap front is additionally cross-checked
+    against a prescreen-free MFS pass over the *raw* candidates — the
+    ``complete`` set when the caller skipped some: exact mode must be
+    bit-identical (docs/PRUNING.md).
     """
     prescreen = options.prefilter
     if options.use_divide_and_conquer:
@@ -1037,14 +1036,10 @@ def _make_pruner(options: MSRIOptions):
         unbuilt: int = 0,
         complete: Optional[List[Solution]] = None,
     ) -> List[Solution]:
-        candidates = raw
-        if options.prefilter:
-            candidates = prefilter_front(raw)
-            if observing:
-                examined = len(raw) + unbuilt
-                _OBS_PREFILTER_EXAMINED.add(examined)
-                _OBS_PREFILTER_DROPPED.add(examined - len(candidates))
-        front = base(candidates)
+        if options.prefilter and observing:
+            _OBS_PREFILTER_EXAMINED.add(len(raw) + unbuilt)
+            _OBS_PREFILTER_DROPPED.add(unbuilt)
+        front = base(raw)
         if checking:
             contracts.verify_pareto(front)
             if options.prefilter:

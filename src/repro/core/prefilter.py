@@ -28,14 +28,18 @@ Two levels are provided:
   which classifies buffered candidates before building them; the
   predictive join classifies joined pairs with :func:`leq_status` itself,
   on the pieces ``join`` would build them from.
-* :func:`prefilter_front` — a sorted-front candidate sweep run *before*
-  the MFS pruner: candidates are visited in the pruner's own tie-break
-  order and tested against a bounded list of earlier "killer" solutions;
-  a candidate whose every coordinate is weakly dominated over its whole
+* :func:`prefilter_front` — a standalone, exact sorted-front candidate
+  sweep: candidates are visited in the MFS pruner's own tie-break order
+  and tested against a bounded list of earlier "killer" solutions; a
+  candidate whose every coordinate is weakly dominated over its whole
   domain is certified dead (the killer, being earlier in the order, would
   have weakly pruned it — and anything it could have pruned, the killer
   also prunes).  Scalar gates here are *exact* (no tolerance slack), so a
-  dropped candidate is dominated under the MFS tolerance too.
+  dropped candidate is dominated under the MFS tolerance too.  The DP
+  does not run it: the predictive stages certify most dominated
+  candidates before they are built, and on what is left the sweep cost
+  more than it saved MFS, which returns the same front bit for bit
+  without it (``docs/PRUNING.md``).
 
 :func:`min_diam_lower_bound` supports the spec-window certificate of the
 width cap (see ``docs/PRUNING.md``): the minimum of a solution's ``diam``
@@ -215,7 +219,10 @@ def min_diam_lower_bound(s: Solution) -> float:
 def prefilter_front(
     solutions: Sequence[Solution], *, max_killers: int = 24
 ) -> List[Solution]:
-    """Drop candidates certified dominated before the full MFS pass.
+    """Drop candidates certified dominated by an earlier one in MFS order.
+
+    A standalone exact utility; the MSRI pruner no longer calls it (see
+    the module docstring).
 
     Candidates are swept in the MFS tie-break order ``(parity, cost, cap,
     q, uid)`` and compared against a bounded list of earlier *killers*

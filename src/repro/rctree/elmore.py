@@ -242,6 +242,9 @@ class ElmoreAnalyzer:
         and ``beta`` (see :meth:`augmented_delay`).
         """
         tree = self._tree
+        n = len(tree)
+        if not (0 <= src < n and 0 <= dst < n):
+            raise ValueError("path_delay endpoints must be terminals")
         src_t = tree.node(src).terminal
         dst_t = tree.node(dst).terminal
         if src_t is None or dst_t is None:

@@ -7,6 +7,7 @@ The hand-computed expectations use the round-number test technology
 import numpy as np
 import pytest
 
+from repro.netgen import paper_instance, paper_technology
 from repro.rctree import ElmoreAnalyzer, EvalContext, TreeBuilder
 from repro.tech import Buffer, Repeater
 
@@ -158,6 +159,16 @@ class TestPathDelay:
         an = ElmoreAnalyzer(t, tech)
         with pytest.raises(ValueError):
             an.path_delay(t.steiner_indices()[0], t.terminal_by_name("b"))
+
+    @pytest.mark.parametrize("src, dst", [(999, 0), (0, 999), (1, -34), (-1, 0)])
+    def test_out_of_range_endpoint_rejected(self, src, dst):
+        # a negative index must not wrap around to a real node, and an
+        # index past the end must not surface as an IndexError
+        t = paper_instance(0, 5)
+        assert len(t) == 34
+        an = ElmoreAnalyzer(t, paper_technology())
+        with pytest.raises(ValueError, match="endpoints must be terminals"):
+            an.path_delay(src, dst)
 
     def test_non_source_cannot_drive(self, tech):
         b = TreeBuilder()

@@ -4,10 +4,10 @@ Three layers under test:
 
 * the allocation-free predictive classification (``leq_status`` /
   ``domain_subset``) against the exact region machinery it replicates;
-* the pre-MFS candidate sweep (``prefilter_front``), the predictive
-  repeater and join stages that skip building certified-dominated
-  candidates, and the end-to-end exact-mode bit-identity guarantee over
-  randomized nets;
+* the standalone sorted-front sweep (``prefilter_front``, off the DP
+  path), the predictive repeater and join stages that skip building
+  certified-dominated candidates, and the end-to-end exact-mode
+  bit-identity guarantee over randomized nets;
 * the width/segment caps and their exact-by-default, lossy-by-consent
   contract, including the stats/observability accounting they share.
 """
@@ -26,6 +26,7 @@ from repro.check import contracts
 from repro.core.intervals import IntervalSet
 from repro.core.mfs import mfs
 from repro.core import msri
+from repro.core import prefilter as prefilter_module
 from repro.core.msri import (
     MSRIOptions,
     MSRIStats,
@@ -282,8 +283,8 @@ def _certificate_by_construction(parents, rep, c_max):
     """Reference for _buffered_survivors: build every candidate, then sweep.
 
     The built candidates are swept in the MFS order (uid = parent order)
-    and each is tested against *every* earlier survivor with
-    prefilter_front's full certificate, computed by leq_status and
+    and each is tested against *every* earlier survivor with the full
+    certificate (docs/ALGORITHMS.md §12), computed by leq_status and
     domain_subset on the built solutions.
     """
     built = []
@@ -596,12 +597,10 @@ def test_predictive_stage_builds_fewer_candidates(small_net, monkeypatch):
     """Fewer apply_repeater and join calls than Fig. 5 / Fig. 7 candidates.
 
     The difference is counted as prefilter drops: ``dropped`` is exactly
-    the unbuilt buffered candidates, plus the unbuilt joined pairs, plus
-    what the sorted-front sweep drops.
+    the unbuilt buffered candidates plus the unbuilt joined pairs.
     """
     built = []
     joined = []
-    swept = []
 
     def counting_apply(*args):
         out = apply_repeater(*args)
@@ -613,14 +612,8 @@ def test_predictive_stage_builds_fewer_candidates(small_net, monkeypatch):
         joined.append(out is not None)
         return out
 
-    def counting_sweep(raw, **kwargs):
-        out = prefilter_front(raw, **kwargs)
-        swept.append(len(raw) - len(out))
-        return out
-
     monkeypatch.setattr(msri, "apply_repeater", counting_apply)
     monkeypatch.setattr(msri, "join", counting_join)
-    monkeypatch.setattr(msri, "prefilter_front", counting_sweep)
     with contracts.checking(False):
         full = insert_repeaters(
             small_net, TECH, repeater_insertion_options(prefilter=False)
@@ -638,10 +631,24 @@ def test_predictive_stage_builds_fewer_candidates(small_net, monkeypatch):
     counters = snap["counters"]
     assert counters["msri.prefilter.examined"] == fast.stats.solutions_generated
     assert counters["msri.prefilter.dropped"] == (
-        (fig5 - len(built)) + (fig7 - sum(joined)) + sum(swept)
+        (fig5 - len(built)) + (fig7 - sum(joined))
     )
     assert fast.stats.solutions_generated == full.stats.solutions_generated
     assert fast.tradeoff() == full.tradeoff()
+
+
+@pytest.mark.parametrize("checking", [False, True])
+def test_pruner_never_runs_the_sweep(small_net, monkeypatch, checking):
+    """MFS alone prunes each vertex: the sorted-front sweep is off the DP."""
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("prefilter_front ran inside the DP")
+
+    monkeypatch.setattr(prefilter_module, "prefilter_front", forbidden)
+    monkeypatch.setattr(msri, "prefilter_front", forbidden, raising=False)
+    with contracts.checking(checking):
+        result = insert_repeaters(small_net, TECH, repeater_insertion_options())
+    assert result.tradeoff()
 
 
 # -- the predictive join, end to end -------------------------------------------
@@ -735,8 +742,8 @@ def _join_certificate_by_construction(left, right, c_max):
     """Reference for _joined_pairs: join every pair, then sweep the built.
 
     The pairs are swept in the MFS order (pair index as the uid) and each
-    is tested against every earlier survivor sharing a parent with
-    prefilter_front's full certificate, computed by leq_status and
+    is tested against every earlier survivor sharing a parent with the
+    full certificate (docs/ALGORITHMS.md §12), computed by leq_status and
     domain_subset on the built solutions.  Returns the surviving pair
     indices, ascending, and the number of candidates.
     """
