@@ -3,11 +3,13 @@
 One connection carries a sequence of newline-delimited JSON frames
 (``docs/SERVING.md`` is the normative wire reference).  Frames on a
 connection are processed strictly in order; concurrency comes from
-serving many connections, each owning its sessions.  CPU-bound engine
-work runs on the default executor so the event loop stays responsive,
-and one-shot ``evaluate`` requests from all connections are micro-batched
-through :func:`repro.rctree.flat.evaluate_batch` behind a shared
-:class:`~repro.rctree.flat.FlatNetCache`.
+serving many connections, each owning its sessions.  Session ops whose
+work is one kernel sweep of the session's net (``open``, ``edit``,
+``eval``, ``path_delay``) run inline on the event loop under the session
+lock; only the MSRI DP (``optimize``) and the one-shot ``evaluate``
+micro-batches, run through :func:`repro.rctree.flat.evaluate_batch`
+behind a shared :class:`~repro.rctree.flat.FlatNetCache`, go to the
+default executor.
 
 Robustness contract (exercised by ``tests/test_serve.py``):
 
@@ -15,7 +17,8 @@ Robustness contract (exercised by ``tests/test_serve.py``):
   never kill the daemon;
 * a line exceeding ``max_frame_bytes`` gets a ``frame-too-large`` error
   and closes that connection (the stream is unrecoverable mid-line);
-* every request is bounded by ``request_timeout_s``;
+* every request is bounded by ``request_timeout_s``; a timed-out
+  ``optimize`` keeps its session locked until its worker returns;
 * a client disconnect closes the sessions it opened;
 * sessions idle past ``session_ttl_s`` are evicted;
 * SIGTERM/SIGINT drain gracefully — in-flight requests finish, new ones
@@ -105,6 +108,8 @@ class TimingServer:
         self._background: List[asyncio.Task] = []
         self._writers: set = set()
         self._active_requests = 0
+        self._timeouts = 0
+        self._workers_in_flight = 0  # executor jobs, abandoned ones included
         self._draining = False
         self._drained = asyncio.Event()
 
@@ -155,7 +160,9 @@ class TimingServer:
             await self._server.wait_closed()
         loop = asyncio.get_running_loop()
         deadline = loop.time() + self.config.drain_grace_s
-        while self._active_requests and loop.time() < deadline:
+        while (
+            self._active_requests or self._workers_in_flight
+        ) and loop.time() < deadline:
             await asyncio.sleep(0.01)
         for writer in list(self._writers):
             writer.close()
@@ -245,6 +252,7 @@ class TimingServer:
                 timeout=self.config.request_timeout_s,
             )
         except asyncio.TimeoutError:
+            self._timeouts += 1
             if obs.enabled():
                 _OBS_TIMEOUTS.add()
             return _error(
@@ -331,9 +339,8 @@ class TimingServer:
             # engine runtime failure
             raise WireProtocolError(str(exc), code="bad-request") from exc
         owned.append(session.sid)
-        loop = asyncio.get_running_loop()
         async with session.lock:
-            result = await loop.run_in_executor(None, session.evaluate)
+            result = session.evaluate()
             session.touch()
         return {
             "session": session.sid,
@@ -346,14 +353,10 @@ class TimingServer:
     async def _op_edit(self, frame: Dict[str, Any]) -> Dict[str, Any]:
         session = self.sessions.get(frame.get("session"))
         loop = asyncio.get_running_loop()
-
-        def work():
-            apply_edit(session.engine, frame)
-            return session.evaluate()
-
         t0 = loop.time()
         async with session.lock:
-            result = await loop.run_in_executor(None, work)
+            apply_edit(session.engine, frame)
+            result = session.evaluate()
             session.touch()
             session.edits += 1
         if obs.enabled():
@@ -420,10 +423,17 @@ class TimingServer:
                 cache=self.sessions.msri_cache,
             )
 
-        loop = asyncio.get_running_loop()
-        async with session.lock:
-            result = await loop.run_in_executor(None, work)
-            session.touch()
+        await session.lock.acquire()
+        try:
+            worker = self._worker(work)
+        except BaseException:
+            session.lock.release()
+            raise
+        worker.add_done_callback(lambda _: session.lock.release())
+        # a timeout cancels this wait, not the worker: the session stays
+        # locked until the DP returns, so no edit interleaves with it
+        result = await asyncio.shield(worker)
+        session.touch()
         response: Dict[str, Any] = {
             "session": session.sid,
             "mode": mode,
@@ -455,7 +465,7 @@ class TimingServer:
         loop = asyncio.get_running_loop()
         t0 = loop.time()
         async with session.lock:
-            result = await loop.run_in_executor(None, session.evaluate)
+            result = session.evaluate()
             session.touch()
         if obs.enabled():
             _OBS_EVAL_LATENCY.observe((loop.time() - t0) * 1e3)
@@ -475,11 +485,8 @@ class TimingServer:
             raise WireProtocolError(
                 f"malformed path_delay frame: {exc!r}", code="bad-request"
             ) from exc
-        loop = asyncio.get_running_loop()
         async with session.lock:
-            value = await loop.run_in_executor(
-                None, session.engine.path_delay, src, dst
-            )
+            value = session.engine.path_delay(src, dst)
             session.touch()
         return {
             "session": session.sid,
@@ -536,7 +543,19 @@ class TimingServer:
             },
             "msri_cache": self.sessions.msri_cache.stats(),
             "draining": self._draining,
+            "timeouts": self._timeouts,
+            "workers_in_flight": self._workers_in_flight,
         }
+
+    def _worker(self, fn: Callable[[], Any]) -> asyncio.Future:
+        """Run ``fn`` on the default executor, counted until it returns."""
+        worker = asyncio.get_running_loop().run_in_executor(None, fn)
+        self._workers_in_flight += 1
+        worker.add_done_callback(self._worker_done)
+        return worker
+
+    def _worker_done(self, _: asyncio.Future) -> None:
+        self._workers_in_flight -= 1
 
     # -- background loops -------------------------------------------------------
 
@@ -581,8 +600,7 @@ class TimingServer:
                     # workers=0: the serial evaluate_batch path, which is
                     # the only one that can reuse this process's compile
                     # cache — micro-batches are far below any sharding win
-                    results = await loop.run_in_executor(
-                        None,
+                    results = await self._worker(
                         lambda t=trees, x=contexts, k=tech, i=include_timing: (
                             evaluate_batch_parallel(
                                 t,

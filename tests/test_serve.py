@@ -8,9 +8,12 @@ malformed frames, oversized frames, mid-edit disconnects, TTL eviction
 and graceful drain must never kill the daemon.
 """
 
+import asyncio
 import json
 import socket
+import threading
 import time
+from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 
@@ -25,6 +28,7 @@ from repro.io.serialize import (
     repeater_to_dict,
     subtree_timing_from_dict,
     subtree_timing_to_dict,
+    terminal_to_dict,
     tree_to_dict,
 )
 from repro.core.ard import ard
@@ -40,7 +44,7 @@ from repro.rctree.engine import EvalContext
 from repro.rctree.flat import evaluate_batch
 from repro.rctree.registry import make_editable_engine
 from repro.serve.loadgen import ServeClient, edit_stream, run_load
-from repro.serve.server import ServeConfig, start_in_thread
+from repro.serve.server import ServeConfig, TimingServer, start_in_thread
 from repro.serve.session import SessionManager, apply_edit
 
 TECH = paper_technology()
@@ -304,6 +308,8 @@ class TestServer:
         stats = client.check("stats")
         assert stats["sessions"] >= 1
         assert set(stats["cache"]) == {"hits", "misses", "size"}
+        assert stats["timeouts"] == 0
+        assert stats["workers_in_flight"] == 0
         client.check("close", session=sid)
 
 
@@ -452,6 +458,148 @@ class TestServerFaults:
         stop()
         with pytest.raises(OSError):
             socket.create_connection(("127.0.0.1", port), timeout=0.5)
+
+
+class _CountingExecutor(ThreadPoolExecutor):
+    """A default executor that counts what the loop submits to it."""
+
+    def __init__(self):
+        super().__init__(max_workers=2)
+        self.submitted = 0
+
+    def submit(self, fn, /, *args, **kwargs):
+        self.submitted += 1
+        return super().submit(fn, *args, **kwargs)
+
+
+class TestThreadingModel:
+    def test_session_ops_never_reach_the_executor(self):
+        tree = chain_net(4, paper_net_spec())
+        src, dst = tree.terminal_indices()
+        edits = [
+            {
+                "edit": "set_assignment",
+                "node": tree.insertion_indices()[0],
+                "repeater": repeater_to_dict(
+                    paper_repeater_library().repeaters[0]
+                ),
+            },
+            {
+                "edit": "set_terminal",
+                "node": dst,
+                "terminal": terminal_to_dict(tree.node(dst).terminal),
+            },
+            {"edit": "set_wire_width", "edge": 1, "width": 2.0},
+            {"edit": "set_wire_scale", "resistance_factor": 1.5},
+            {"edit": "reroot", "node": dst},
+        ]
+
+        async def main():
+            pool = _CountingExecutor()
+            asyncio.get_running_loop().set_default_executor(pool)
+            server = TimingServer(ServeConfig())
+            await server.start()
+            reader, writer = await asyncio.open_connection(
+                "127.0.0.1", server.port
+            )
+
+            async def call(op, **fields):
+                writer.write(
+                    encode_frame(
+                        {"schema": SERVE_SCHEMA, "id": 1, "op": op, **fields}
+                    )
+                )
+                await writer.drain()
+                resp = json.loads(await reader.readline())
+                assert resp["ok"], resp
+                return resp
+
+            try:
+                before = pool.submitted
+                sid = (await call("open", net=tree_to_dict(tree)))["session"]
+                for edit in edits:
+                    await call("edit", session=sid, **edit)
+                await call("eval", session=sid)
+                await call("path_delay", session=sid, src=src, dst=dst)
+                inline = pool.submitted - before
+                await call("optimize", session=sid)
+                return inline, pool.submitted - before - inline
+            finally:
+                writer.close()
+                await server.drain()
+
+        assert asyncio.run(main()) == (0, 1)
+
+
+@pytest.fixture()
+def blocked_optimize(monkeypatch):
+    """A server whose ``optimize`` worker blocks until ``release`` is set."""
+    import repro.core.msri_engine as msri_engine
+
+    real = msri_engine.insert_repeaters_cached
+    release = threading.Event()
+
+    def blocked(*args, **kwargs):
+        if not release.wait(timeout=30.0):
+            raise RuntimeError("optimize worker was never released")
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(msri_engine, "insert_repeaters_cached", blocked)
+    srv, stop = start_in_thread(ServeConfig(request_timeout_s=0.25))
+    c = ServeClient("127.0.0.1", srv.port)
+    try:
+        yield c, release
+    finally:
+        release.set()
+        c.close()
+        stop()
+
+
+def _await_idle_workers(client):
+    deadline = time.time() + 10.0
+    while client.check("stats")["workers_in_flight"]:
+        assert time.time() < deadline, "optimize worker never returned"
+        time.sleep(0.01)
+
+
+class TestTimeouts:
+    def test_timed_out_optimize_holds_the_session_lock(self, blocked_optimize):
+        client, release = blocked_optimize
+        tree = _net(1)
+        sid = client.check("open", net=tree_to_dict(tree))["session"]
+        resp = client.request("optimize", session=sid)
+        assert resp["error"]["code"] == "timeout"
+        # the abandoned worker still owns the session: this edit must wait
+        # for the lock, time out, and leave the engine untouched
+        blocked_edit = {"edit": "set_wire_width", "edge": 1, "width": 4.0}
+        resp = client.request("edit", session=sid, **blocked_edit)
+        assert resp["error"]["code"] == "timeout"
+        release.set()
+        _await_idle_workers(client)
+        applied = {"edit": "set_wire_width", "edge": 2, "width": 2.0}
+        client.check("edit", session=sid, **applied)
+        direct = make_editable_engine("flat", tree, TECH)
+        apply_edit(direct, applied)
+        got = client.check("eval", session=sid)["ard"]
+        assert got == ard_result_to_dict(direct.evaluate())
+
+    def test_stats_count_timeouts_and_workers_in_flight(
+        self, blocked_optimize
+    ):
+        client, release = blocked_optimize
+        sid = client.check("open", net=tree_to_dict(_net()))["session"]
+        assert client.request("optimize", session=sid)["error"]["code"] == (
+            "timeout"
+        )
+        stats = client.check("stats")
+        assert stats["timeouts"] == 1
+        assert stats["workers_in_flight"] == 1  # abandoned, still running
+        release.set()
+        _await_idle_workers(client)
+        assert client.check("stats")["timeouts"] == 1
+        # the released session answers optimize again
+        assert client.check("optimize", session=sid)["tradeoff"]
+        assert client.check("stats")["workers_in_flight"] == 0
 
 
 class TestConcurrentDifferential:
