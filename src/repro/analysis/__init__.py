@@ -1,6 +1,5 @@
 """Analysis utilities: Pareto minima, oracles, reporting, experiments."""
 
-from .batch import evaluate_batch_parallel
 from .campaign import Campaign, CampaignConfig, load_campaign, run_campaign
 from .executor import (
     Job,
@@ -24,7 +23,6 @@ from .report import Table, results_dir, save_text
 from .variation import VariationModel, VariationResult, monte_carlo_ard
 
 __all__ = [
-    "evaluate_batch_parallel",
     "Campaign",
     "CampaignConfig",
     "load_campaign",

@@ -129,7 +129,9 @@ def validate_msri_overrides(overrides: Optional[Dict]) -> Dict[str, object]:
     out: Dict[str, object] = {}
     for key in ("prefilter", "lossy", "quantize_bound"):
         if key in overrides:
-            out[key] = bool(overrides[key])
+            if not isinstance(overrides[key], bool):
+                raise ValueError(f"msri option {key!r} must be a boolean")
+            out[key] = overrides[key]
     for key in ("max_front_width", "max_pwl_segments"):
         if key in overrides and overrides[key] is not None:
             value = overrides[key]

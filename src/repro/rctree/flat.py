@@ -40,8 +40,7 @@ skip-sum for fan-out > 2, which would break the bit-identity contract.
 ``evaluate_batch`` amortizes everything that is per-net overhead in the
 reference path (engine construction, tree validation, per-node timing
 table) across thousands of nets, with an LRU compile cache keyed on the
-canonical net hash; :mod:`repro.analysis.batch` adds multi-core fan-out on
-top via the campaign executor.
+canonical net hash.
 """
 
 from __future__ import annotations
@@ -1088,9 +1087,7 @@ def evaluate_batch(
     (roughly doubling the work); the default returns scalar results.
 
     Results come back in input order.  Under ``REPRO_CHECK=1`` every result
-    is cross-checked bit-for-bit against the reference record pass.  For
-    multi-core fan-out over very large batches see
-    :func:`repro.analysis.batch.evaluate_batch_parallel`.
+    is cross-checked bit-for-bit against the reference record pass.
     """
     n_batch = len(nets)
     if isinstance(contexts, EvalContext) or contexts is None:

@@ -10,7 +10,7 @@ linking the Python optimizer into their process.
   dispatcher over the :class:`~repro.rctree.engine.EditableEngine`
   protocol;
 * :mod:`repro.serve.server` — the asyncio NDJSON daemon
-  (``repro-msri serve``), with micro-batched one-shot evaluation,
+  (``repro-msri serve``), with one-shot batch evaluation,
   per-request timeouts, TTL eviction and graceful drain;
 * :mod:`repro.serve.loadgen` — a blocking client plus a concurrent load
   generator that replays every session serially and asserts the streamed

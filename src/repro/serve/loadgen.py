@@ -4,9 +4,9 @@
 server, each streaming a seeded pseudo-random edit sequence, then
 *replays every session serially* on a local engine and asserts the
 streamed responses were **byte-identical** to the serially recomputed
-frames.  That is the server's core correctness claim: concurrency,
-micro-batching and executor offload are pure plumbing — they must never
-change a single bit of any response.
+frames.  That is the server's core correctness claim: concurrency and
+executor offload are pure plumbing — they must never change a single
+bit of any response.
 
 The replay reuses :func:`repro.serve.session.apply_edit` (the server's
 own dispatcher) and :func:`repro.io.serialize.encode_frame` (the

@@ -6,10 +6,9 @@ connection are processed strictly in order; concurrency comes from
 serving many connections, each owning its sessions.  Session ops whose
 work is one kernel sweep of the session's net (``open``, ``edit``,
 ``eval``, ``path_delay``) run inline on the event loop under the session
-lock; only the MSRI DP (``optimize``) and the one-shot ``evaluate``
-micro-batches, run through :func:`repro.rctree.flat.evaluate_batch`
-behind a shared :class:`~repro.rctree.flat.FlatNetCache`, go to the
-default executor.
+lock.  The one-shot ``evaluate`` op is one inline
+:func:`repro.rctree.flat.evaluate_batch` call over the frame's nets.
+Only the MSRI DP (``optimize``) goes to the default executor.
 
 Robustness contract (exercised by ``tests/test_serve.py``):
 
@@ -45,14 +44,12 @@ from ..io.serialize import (
     eval_context_from_dict,
     load_tree,
     technology_from_dict,
-    technology_to_dict,
     tree_from_dict,
 )
-from ..analysis.batch import evaluate_batch_parallel
 from ..core.msri import validate_msri_overrides
 from ..netgen.workloads import paper_technology
 from ..obs import core as obs
-from ..rctree.flat import FlatNetCache
+from ..rctree.flat import evaluate_batch
 from ..rctree.registry import editable_engine_names
 from .session import SessionManager, apply_edit
 
@@ -65,7 +62,6 @@ _OBS_BAD_FRAMES = obs.Counter("serve.frames.bad")
 _OBS_TIMEOUTS = obs.Counter("serve.timeouts")
 _OBS_EDIT_LATENCY = obs.Histogram("serve.edit.latency_ms")
 _OBS_EVAL_LATENCY = obs.Histogram("serve.eval.latency_ms")
-_OBS_BATCH_SIZE = obs.Histogram("serve.batch.size")
 
 
 @dataclass(frozen=True)
@@ -79,9 +75,6 @@ class ServeConfig:
     session_ttl_s: float = 300.0
     eviction_interval_s: float = 1.0
     max_frame_bytes: int = 1 << 20
-    batch_window_s: float = 0.002  # micro-batch collection window
-    batch_max: int = 32  # max one-shot nets per micro-batch
-    cache_size: int = 256  # FlatNetCache entries for one-shot evaluate
     drain_grace_s: float = 5.0  # max wait for in-flight requests on drain
 
 
@@ -102,9 +95,7 @@ class TimingServer:
         self.sessions = SessionManager(
             ttl_s=self.config.session_ttl_s, default_engine=self.config.engine
         )
-        self.cache = FlatNetCache(self.config.cache_size)
         self._server: Optional[asyncio.AbstractServer] = None
-        self._batch_queue: Optional[asyncio.Queue] = None
         self._background: List[asyncio.Task] = []
         self._writers: set = set()
         self._active_requests = 0
@@ -123,7 +114,6 @@ class TimingServer:
         return self._server.sockets[0].getsockname()[1]
 
     async def start(self) -> None:
-        self._batch_queue = asyncio.Queue()
         self._server = await asyncio.start_server(
             self._handle_client,
             self.config.host,
@@ -131,7 +121,6 @@ class TimingServer:
             limit=self.config.max_frame_bytes,
         )
         self._background = [
-            asyncio.create_task(self._batcher_loop(), name="serve-batcher"),
             asyncio.create_task(self._evictor_loop(), name="serve-evictor"),
         ]
 
@@ -318,6 +307,7 @@ class TimingServer:
                 else paper_technology()
             )
             context = eval_context_from_dict(frame.get("context") or {})
+            include_timing = _flag(frame, "include_timing")
             msri = validate_msri_overrides(frame.get("msri")) or None
         except WireProtocolError:
             raise
@@ -331,7 +321,7 @@ class TimingServer:
                 tech,
                 engine_name=frame.get("engine"),
                 context=context,
-                include_timing=bool(frame.get("include_timing", False)),
+                include_timing=include_timing,
                 msri=msri,
             )
         except ValueError as exc:
@@ -507,25 +497,21 @@ class TimingServer:
                 else paper_technology()
             )
             context = eval_context_from_dict(frame.get("context") or {})
-            include_timing = bool(frame.get("include_timing", False))
+            include_timing = _flag(frame, "include_timing")
         except WireProtocolError:
             raise
         except (KeyError, TypeError, ValueError) as exc:
             raise WireProtocolError(
                 f"malformed evaluate frame: {exc}", code="bad-request"
             ) from exc
-        loop = asyncio.get_running_loop()
-        tech_key = json.dumps(technology_to_dict(tech), sort_keys=True)
-        futures = []
-        if self._batch_queue is None:
-            raise RuntimeError("server not started: batch queue missing")
-        for tree in trees:
-            fut: asyncio.Future = loop.create_future()
-            self._batch_queue.put_nowait(
-                (tree, context, tech_key, tech, include_timing, fut)
+        try:
+            results = evaluate_batch(
+                trees, tech, contexts=context, include_timing=include_timing
             )
-            futures.append(fut)
-        results = await asyncio.gather(*futures)
+        except (ValueError, TypeError):
+            raise
+        except Exception as exc:  # any engine failure answers engine-error
+            raise ValueError(str(exc)) from exc
         return {
             "ards": [
                 ard_result_to_dict(r, include_timing=include_timing)
@@ -536,11 +522,6 @@ class TimingServer:
     def _op_stats(self) -> Dict[str, Any]:
         return {
             "sessions": len(self.sessions),
-            "cache": {
-                "hits": self.cache.hits,
-                "misses": self.cache.misses,
-                "size": len(self.cache),
-            },
             "msri_cache": self.sessions.msri_cache.stats(),
             "draining": self._draining,
             "timeouts": self._timeouts,
@@ -559,76 +540,18 @@ class TimingServer:
 
     # -- background loops -------------------------------------------------------
 
-    async def _batcher_loop(self) -> None:
-        """Micro-batch one-shot evaluations across connections.
-
-        Collect requests for ``batch_window_s`` (or until ``batch_max``),
-        group by technology (``evaluate_batch`` takes one tech per call),
-        then run each group through the shared compile cache on the
-        executor.  Per-net contexts ride along, so grouping never changes
-        results — only amortizes overhead.
-        """
-        if self._batch_queue is None:
-            raise RuntimeError("server not started: batch queue missing")
-        loop = asyncio.get_running_loop()
-        cfg = self.config
-        while True:
-            batch = [await self._batch_queue.get()]
-            deadline = loop.time() + cfg.batch_window_s
-            while len(batch) < cfg.batch_max:
-                remaining = deadline - loop.time()
-                if remaining <= 0:
-                    break
-                try:
-                    batch.append(
-                        await asyncio.wait_for(
-                            self._batch_queue.get(), timeout=remaining
-                        )
-                    )
-                except asyncio.TimeoutError:
-                    break
-            if obs.enabled():
-                _OBS_BATCH_SIZE.observe(len(batch))
-            groups: Dict[Tuple[str, bool], List] = {}
-            for item in batch:
-                groups.setdefault((item[2], item[4]), []).append(item)
-            for (_, include_timing), items in groups.items():
-                trees = [it[0] for it in items]
-                contexts = [it[1] for it in items]
-                tech = items[0][3]
-                try:
-                    # workers=0: the serial evaluate_batch path, which is
-                    # the only one that can reuse this process's compile
-                    # cache — micro-batches are far below any sharding win
-                    results = await self._worker(
-                        lambda t=trees, x=contexts, k=tech, i=include_timing: (
-                            evaluate_batch_parallel(
-                                t,
-                                k,
-                                contexts=x,
-                                include_timing=i,
-                                workers=0,
-                                cache=self.cache,
-                            )
-                        ),
-                    )
-                except Exception as exc:  # surface to every waiter
-                    for it in items:
-                        if not it[5].done():
-                            it[5].set_exception(
-                                exc
-                                if isinstance(exc, (ValueError, TypeError))
-                                else ValueError(str(exc))
-                            )
-                    continue
-                for it, result in zip(items, results):
-                    if not it[5].done():
-                        it[5].set_result(result)
-
     async def _evictor_loop(self) -> None:
         while True:
             await asyncio.sleep(self.config.eviction_interval_s)
             self.sessions.evict_idle()
+
+
+def _flag(frame: Dict[str, Any], key: str) -> bool:
+    """A boolean frame field (absent = false); anything but a bool is refused."""
+    value = frame.get(key, False)
+    if not isinstance(value, bool):
+        raise ValueError(f"{key!r} must be true or false, got {value!r}")
+    return value
 
 
 def _salvage_id(line: bytes) -> Any:

@@ -15,7 +15,6 @@ import importlib.util
 
 import pytest
 
-from repro.analysis.batch import evaluate_batch_parallel
 from repro.check import contracts
 from repro.core.ard import ard
 from repro.netgen.random_nets import chain_net, star_net
@@ -289,8 +288,6 @@ class TestBatch:
         nets = self._corpus()
         with pytest.raises(ValueError, match="contexts length"):
             evaluate_batch(nets, TECH, contexts=[None] * (len(nets) - 1))
-        with pytest.raises(ValueError, match="contexts length"):
-            evaluate_batch_parallel(nets, TECH, contexts=[None] * 2)
 
     def test_single_context_broadcasts(self):
         nets = self._corpus()
@@ -300,19 +297,6 @@ class TestBatch:
         batch = evaluate_batch(nets, TECH, contexts=ctx)
         for tree, res in zip(nets, batch):
             assert res.value == ard(tree, TECH, context=ctx).value
-
-    def test_parallel_matches_serial(self):
-        nets = self._corpus() * 4
-        serial = evaluate_batch_parallel(nets, TECH)
-        sharded = evaluate_batch_parallel(nets, TECH, workers=2, shard_size=3)
-        assert [r.value for r in sharded] == [r.value for r in serial]
-        assert [(r.source, r.sink) for r in sharded] == [
-            (r.source, r.sink) for r in serial
-        ]
-
-    def test_parallel_shard_size_validation(self):
-        with pytest.raises(ValueError, match="shard_size"):
-            evaluate_batch_parallel(self._corpus(), TECH, shard_size=0)
 
     def test_batch_uses_supplied_cache(self):
         nets = self._corpus()

@@ -95,6 +95,7 @@ class TestValidateOverrides:
             "max_pwl_segments": 4,
             "spec": 1500.0,
             "lossy": True,
+            "quantize_bound": True,
         }
         assert validate_msri_overrides(knobs) == knobs
 
@@ -109,10 +110,16 @@ class TestValidateOverrides:
             {"max_pwl_segments": "two"},
             {"spec": "fast"},
             {"spec": True},
+            # booleans are not coerced by truthiness: "false" is no bool
+            {"prefilter": "false"},
+            {"lossy": "no"},
+            {"quantize_bound": 0},
+            {"prefilter": 1},
+            {"quantize_bound": None},
         ],
     )
     def test_mistyped_values_rejected(self, knobs):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=next(iter(knobs))):
             validate_msri_overrides(knobs)
 
     @pytest.mark.parametrize(

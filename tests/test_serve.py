@@ -288,16 +288,61 @@ class TestServer:
 
     def test_one_shot_evaluate_matches_direct_batch(self, client):
         trees = [_net(i) for i in range(3)] + [chain_net(6, paper_net_spec())]
-        resp = client.check(
-            "evaluate", nets=[tree_to_dict(t) for t in trees]
+        nets = [tree_to_dict(t) for t in trees]
+        shared = EvalContext(
+            wire_widths={1: 1.5, 2: 0.5}, include_companion_cap=True
         )
-        direct = evaluate_batch(trees, TECH)
-        assert resp["ards"] == [ard_result_to_dict(r) for r in direct]
-        # repeat: served from the compile cache, identical bytes
-        again = client.check(
-            "evaluate", nets=[tree_to_dict(t) for t in trees]
-        )
-        assert again["ards"] == resp["ards"]
+        for fields, context, timing in (
+            ({}, None, False),
+            (
+                {"context": eval_context_to_dict(shared),
+                 "include_timing": True},
+                shared,
+                True,
+            ),
+        ):
+            resp = client.check("evaluate", nets=nets, **fields)
+            direct = evaluate_batch(
+                trees, TECH, contexts=context, include_timing=timing
+            )
+            expected = encode_frame(
+                {
+                    "schema": SERVE_SCHEMA,
+                    "id": resp["id"],
+                    "ok": True,
+                    "ards": [
+                        ard_result_to_dict(r, include_timing=timing)
+                        for r in direct
+                    ],
+                }
+            )
+            assert client.last_raw == expected, fields
+        assert resp["ards"][0]["timing"]  # the timed pass shipped tables
+
+    def test_evaluate_engine_failure_keeps_the_connection(
+        self, client, monkeypatch
+    ):
+        import repro.serve.server as server_module
+
+        def boom(*args, **kwargs):
+            raise RuntimeError("kernel exploded")
+
+        monkeypatch.setattr(server_module, "evaluate_batch", boom)
+        resp = client.request("evaluate", nets=[tree_to_dict(_net())])
+        assert resp["error"]["code"] == "engine-error"
+        assert "kernel exploded" in resp["error"]["message"]
+        assert client.check("hello")["server"] == "repro-msri"
+
+    @pytest.mark.parametrize("value", ["false", "no", 0, 1, None])
+    def test_include_timing_must_be_a_boolean(self, client, value):
+        net = tree_to_dict(_net())
+        before = client.check("stats")["sessions"]
+        for op, fields in (("open", {"net": net}), ("evaluate", {"nets": [net]})):
+            resp = client.request(op, include_timing=value, **fields)
+            assert resp["error"]["code"] == "bad-request", (op, value)
+            assert "include_timing" in resp["error"]["message"]
+        # the refused open left no session behind
+        assert client.check("stats")["sessions"] <= before
 
     def test_evaluate_rejects_empty_net_list(self, client):
         resp = client.request("evaluate", nets=[])
@@ -307,7 +352,6 @@ class TestServer:
         sid = client.check("open", net=tree_to_dict(_net()))["session"]
         stats = client.check("stats")
         assert stats["sessions"] >= 1
-        assert set(stats["cache"]) == {"hits", "misses", "size"}
         assert stats["timeouts"] == 0
         assert stats["workers_in_flight"] == 0
         client.check("close", session=sid)
@@ -521,6 +565,7 @@ class TestThreadingModel:
                     await call("edit", session=sid, **edit)
                 await call("eval", session=sid)
                 await call("path_delay", session=sid, src=src, dst=dst)
+                await call("evaluate", nets=[tree_to_dict(tree)])
                 inline = pool.submitted - before
                 await call("optimize", session=sid)
                 return inline, pool.submitted - before - inline
