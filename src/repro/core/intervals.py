@@ -322,11 +322,16 @@ class IntervalSet:
         other, other_delta = meet
         if len(ivs) == 1 and len(other._intervals) == 1:
             # one interval a side: each stage yields at most one interval,
-            # so the coalescing passes have nothing to merge
+            # so the coalescing passes have nothing to merge.  A shift keeps
+            # lo <= hi, so of Interval's checks only NaN can fail here
             (s_lo, s_hi), = ivs
             (o_lo, o_hi), = other._intervals
-            a_lo, a_hi = Interval(s_lo + delta, s_hi + delta)
-            b_lo, b_hi = Interval(o_lo + other_delta, o_hi + other_delta)
+            a_lo = s_lo + delta
+            a_hi = s_hi + delta
+            b_lo = o_lo + other_delta
+            b_hi = o_hi + other_delta
+            if a_lo != a_lo or a_hi != a_hi or b_lo != b_lo or b_hi != b_hi:
+                raise ValueError("interval endpoints may not be NaN")
             # _intersect's max/min, with its tie rule: the first side wins
             m_lo = b_lo if b_lo > a_lo else a_lo
             m_hi = b_hi if b_hi < a_hi else a_hi
@@ -379,10 +384,11 @@ def _single_clamped(iv: Tuple[float, float], lo: float, hi: float) -> IntervalSe
     """``_set(_clamped((iv,), lo, hi))`` for one interval, inlined."""
     if lo > hi:
         return _EMPTY
-    c_lo, c_hi = Interval(lo, hi)
+    if lo != lo or hi != hi:  # Interval(lo, hi)'s one check left
+        raise ValueError("interval endpoints may not be NaN")
     i_lo, i_hi = iv
-    c_lo = c_lo if c_lo > i_lo else i_lo
-    c_hi = c_hi if c_hi < i_hi else i_hi
+    c_lo = lo if lo > i_lo else i_lo
+    c_hi = hi if hi < i_hi else i_hi
     if c_lo > c_hi:
         return _EMPTY
     return _set((_raw(Interval, (c_lo, c_hi)),))

@@ -137,26 +137,28 @@ def _prune_one_gated(
     """
     if prescreen:
         # None coordinates (identically -inf) dominate the call mix; decide
-        # them inline and only pay a leq_status call for finite pairs
-        by_arr = by.arr
-        s_arr = s.arr
-        if by_arr is None:
-            arr_st = LEQ_FULL
-        elif s_arr is None:
-            return s  # finite is never <= -inf: LEQ_EMPTY
-        else:
-            arr_st = leq_status(by_arr, s_arr)
-            if arr_st == LEQ_EMPTY:
-                return s
+        # them inline and only pay a leq_status call for finite pairs.
+        # diam goes first: it rules out more of the comparisons that come
+        # to nothing, and either early return gives the same answer.
         by_diam = by.diam
         s_diam = s.diam
         if by_diam is None:
             diam_st = LEQ_FULL
         elif s_diam is None:
-            return s
+            return s  # finite is never <= -inf: LEQ_EMPTY
         else:
             diam_st = leq_status(by_diam, s_diam)
             if diam_st == LEQ_EMPTY:
+                return s
+        by_arr = by.arr
+        s_arr = s.arr
+        if by_arr is None:
+            arr_st = LEQ_FULL
+        elif s_arr is None:
+            return s
+        else:
+            arr_st = leq_status(by_arr, s_arr)
+            if arr_st == LEQ_EMPTY:
                 return s
         # when the victim's domain is contained in the killer's, the
         # intersection *is* the victim's domain — an allocation-free walk

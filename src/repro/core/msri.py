@@ -44,6 +44,7 @@ from ..rctree.engine import EvalContext
 from ..rctree.topology import NodeKind, RoutingTree
 from ..tech.buffers import Repeater, RepeaterLibrary
 from ..tech.parameters import Technology
+from ..tech.terminals import NEVER
 from .mfs import mfs, mfs_pairwise
 from .prefilter import (
     LEQ_FULL,
@@ -52,7 +53,7 @@ from .prefilter import (
     line_leq_status,
     min_diam_lower_bound,
 )
-from .pwl import max_segment_count
+from .pwl import _EPS, max_segment_count
 from .solution import (
     JoinPieces,
     Placement,
@@ -694,11 +695,14 @@ def _joined_pairs(
     With ``predictive`` (and at least two pairs) the pairs are swept in
     the MFS order ``(parity, cost, cap, q, pair index)``, and a pair an
     earlier built pair sharing one of its parents certifies dominated is
-    not built (:func:`_dominated`, docs/ALGORITHMS.md §16);
-    ``unbuilt`` counts those.  The rest are built in sweep order, which
-    orders every exact scalar tie by pair index, as a full build's uids
-    would.  Under contracts every pair is built, in pair order, and
-    ``complete`` is that full set; otherwise ``complete`` is None.
+    not built; ``unbuilt`` counts those.  The certificate is first read
+    from the parents' lines (:func:`_certified`), and only a pair it
+    does not settle gets its pieces for the full check
+    (:func:`_dominated`, docs/ALGORITHMS.md §16).  The rest are built in
+    sweep order, which orders every exact scalar tie by pair index, as a
+    full build's uids would.  Under contracts every pair is built, in
+    pair order, and ``complete`` is that full set; otherwise ``complete``
+    is None.
     """
     n_right = len(right)
     if not predictive or len(left) * n_right < 2:
@@ -725,9 +729,12 @@ def _joined_pairs(
     if contracts.contracts_enabled():
         full = [join(a, b, c_max) for a in left for b in right]
         complete = [j for j in full if j is not None]
+    lines_left = [_parent_lines(a) for a in left]
+    lines_right = [_parent_lines(b) for b in right]
+    margin = _CERT_MARGIN * _line_scale(lines_left + lines_right, c_max)
     # built pairs by parent: a pair's likeliest killers share a parent
-    rows: List[List[Solution]] = [[] for _ in left]
-    cols: List[List[Solution]] = [[] for _ in right]
+    rows: List[List[_Built]] = [[] for _ in left]
+    cols: List[List[_Built]] = [[] for _ in right]
     built: List[Solution] = []
     unbuilt = 0
     for _, _, cap, q, index in entries:
@@ -736,24 +743,453 @@ def _joined_pairs(
         b = right[k]
         row = rows[i]
         col = cols[k]
-        # earlier entries cost no more: the cap and q gates remain
-        suspects = [s for s in row if s.cap <= cap and s.q <= q]
-        suspects.extend(s for s in col if s.cap <= cap and s.q <= q)
-        if not suspects:
+        found = _UNSUSPECTED
+        if row or col:
+            sa = lines_left[i]
+            sb = lines_right[k]
+            certify = _certified_lines if sa[4] and sb[4] else _certified
+            found = certify(a, b, sa, sb, row, col, cap, q, margin, c_max)
+        if found is _UNSUSPECTED:
             j = join(a, b, c_max) if complete is None else full[index]
+        elif found is _NO_PAIR:
+            continue  # join returns None: not a candidate
+        elif found is not None:
+            if complete is not None:
+                _check_certified(a, b, c_max, found.pair)
+            unbuilt += 1
+            continue
         else:
             pieces = join_pieces(a, b, c_max)
             if pieces is None:
                 continue  # join returns None: not a candidate
+            # earlier entries cost no more: the cap and q gates remain
+            suspects = [r.pair for r in row if r.cap <= cap and r.q <= q]
+            suspects.extend(r.pair for r in col if r.cap <= cap and r.q <= q)
             if _dominated(pieces, suspects):
                 unbuilt += 1
                 continue
             j = join(a, b, c_max, pieces) if complete is None else full[index]
         if j is not None:
             built.append(j)
-            row.append(j)
-            col.append(j)
+            record = _Built(j, lines_left[i], lines_right[k])
+            row.append(record)
+            col.append(record)
     return built, unbuilt, complete
+
+
+#: Margin of the parent-level join certificate (:func:`_certified`), per
+#: unit of the join's line scale (:func:`_line_scale`).  A built ``arr``
+#: or ``diam`` is the maximum of its term lines up to three kinds of
+#: error at a point ``x`` of ``[0, c_max]``, each from a PWL tolerance:
+#:
+#: * ``_canonicalize`` merges touching lines whose intercepts and slopes
+#:   agree within ``_EPS * max(1, |coef|)``, so the kept line is off by
+#:   at most ``_EPS * (max(1, |intercept|) + max(1, |slope|) * c_max)``;
+#: * ``_combined`` takes lines whose slopes differ by at most ``_EPS`` as
+#:   parallel and keeps the midpoint winner, off by at most
+#:   ``_EPS * c_max`` at an end of the overlap;
+#: * ``_combined`` does not cut at a crossing within ``_EPS`` of an
+#:   overlap's end, so the piece there is off by at most
+#:   ``_EPS * |slope difference| <= 2 * _EPS * max |slope|``.
+#:
+#: Together these stay under ``2 * _EPS * scale`` per primitive call.  A
+#: joined ``diam`` passes through six calls (one shift, one restrict,
+#: one scalar add and three maxima) and ``arr`` through fewer, so the
+#: suspect's and the pair's built functions are each within
+#: ``12 * _EPS * scale`` of their term maxima.  Lines ``32 * _EPS *
+#: scale`` apart therefore leave the built functions apart by more than
+#: the rounding of ``leq_status``'s differences: the built pieces cannot
+#: cross where the lines do not.  Bitwise-identical lines are never that
+#: far apart, so ties are left to the full check (but see
+#: :func:`_shared_top`).
+_CERT_MARGIN = 32.0 * _EPS
+
+#: :func:`_certified`'s answers besides a certifying suspect or None: no
+#: built pair passes the pair's scalar gates, or the pair has no domain
+#: (``join`` returns None for it).
+_UNSUSPECTED = object()
+_NO_PAIR = object()
+
+_INF = math.inf
+
+
+def _parent_lines(s: Solution) -> tuple:
+    """A join parent's line summary: ``(arr segments, diam segments, cap,
+    q, lines)``, a missing function as None and an absent sink's ``q`` as
+    None.
+
+    ``lines`` is ``(arr intercept, arr slope, diam intercept, diam slope,
+    cap, q)`` when the domain is one interval and each function one
+    segment, a missing function as the line ``-inf``, for
+    :func:`_certified_lines`; otherwise None.
+    """
+    arr = None if s.arr is None else s.arr._segments
+    diam = None if s.diam is None else s.diam._segments
+    lines = None
+    if len(s.domain._intervals) == 1 and (arr is None or len(arr) == 1) and (
+        diam is None or len(diam) == 1
+    ):
+        a_ic, a_sl = (-_INF, 0.0) if arr is None else arr[0][2:]
+        d_ic, d_sl = (-_INF, 0.0) if diam is None else diam[0][2:]
+        lines = (a_ic, a_sl, d_ic, d_sl, s.cap, s.q)
+    return arr, diam, s.cap, None if s.q == NEVER else s.q, lines
+
+
+def _line_scale(lines: List[tuple], c_max: float) -> float:
+    """The magnitude every term line of a join stays within on
+    ``[0, c_max]``: ``1 + V + (1 + S) * (1 + c_max)``, where a term's
+    intercept ``intercept + slope * cap + q`` is at most ``V`` and its
+    slope at most ``S`` in absolute value (see ``_CERT_MARGIN``)."""
+    top_ic = top_sl = top_cap = top_q = 0.0
+    for arr, diam, cap, q, _ in lines:
+        if cap > top_cap:
+            top_cap = cap
+        if q is not None and abs(q) > top_q:
+            top_q = abs(q)
+        for segs in (arr, diam):
+            if segs is not None:
+                for _, _, ic, sl in segs:
+                    if abs(ic) > top_ic:
+                        top_ic = abs(ic)
+                    if abs(sl) > top_sl:
+                        top_sl = abs(sl)
+    top_ic += top_sl * top_cap + top_q
+    return 1.0 + top_ic + (1.0 + top_sl) * (1.0 + c_max)
+
+
+def _pair_terms(sa: tuple, sb: tuple) -> Tuple[list, list, list, list]:
+    """The ``arr`` and ``diam`` terms of ``join(a, b)`` from the parents'
+    line summaries, as :func:`~repro.core.solution.join_pieces` forms
+    them: each side's arrival and diameter shifted by the other side's
+    cap, and each side's shifted arrival plus the other side's ``q``.
+
+    Returns ``(arr lines, arr others, diam lines, diam others)``.  A term
+    of a one-segment function is its line ``(intercept, slope)`` in the
+    joined pair's coordinate, by the expressions of ``_shifted_into`` and
+    ``_add_linear``; any other is ``(segments, shift, q)``.
+    """
+    arr_lines = []
+    diam_lines = []
+    arr_multi = []
+    diam_multi = []
+    for arr, diam, shift, q in ((sa[0], sa[1], sb[2], sb[3]), (sb[0], sb[1], sa[2], sa[3])):
+        if diam is not None:
+            if len(diam) == 1:
+                _, _, ic, sl = diam[0]
+                diam_lines.append((ic + sl * shift, sl))
+            else:
+                diam_multi.append((diam, shift, 0.0))
+        if arr is not None:
+            if len(arr) == 1:
+                _, _, ic, sl = arr[0]
+                ic = ic + sl * shift
+                arr_lines.append((ic, sl))
+                if q is not None:
+                    diam_lines.append((ic + q, sl))
+            else:
+                arr_multi.append((arr, shift, 0.0))
+                if q is not None:
+                    diam_multi.append((arr, shift, q))
+    return arr_lines, arr_multi, diam_lines, diam_multi
+
+
+def _suspect_lines(sa: tuple, sb: tuple) -> tuple:
+    """A built pair's terms as a suspect reads them: ``(arr lines, arr
+    exact, diam lines, diam exact)``.
+
+    A term of several segments stands as the lines of all its segments:
+    at any point it equals one of them, so lines below a pair's term
+    bound it too.  ``exact`` says no such term was split, so each line
+    is a term, bit for bit (:func:`_shared_top`).
+    """
+    arr, arr_multi, diam, diam_multi = _pair_terms(sa, sb)
+    for lines, multi in ((arr, arr_multi), (diam, diam_multi)):
+        for segs, shift, add in multi:
+            for _, _, ic, sl in segs:
+                lines.append((ic + sl * shift + add, sl))
+    return arr, not arr_multi, diam, not diam_multi
+
+
+class _Built:
+    """A built pair as the predictive sweep's later pairs read it: its
+    scalar gates, the pair, and its terms as a suspect
+    (:func:`_suspect_lines`), computed from its parents' line summaries
+    when a later pair first needs them."""
+
+    __slots__ = ("cap", "q", "pair", "_parents", "_lines")
+
+    def __init__(self, pair: Solution, sa: tuple, sb: tuple) -> None:
+        self.cap = pair.cap
+        self.q = pair.q
+        self.pair = pair
+        self._parents = (sa, sb)
+        self._lines: Optional[tuple] = None
+
+    def lines(self) -> tuple:
+        lines = self._lines
+        if lines is None:
+            lines = self._lines = _suspect_lines(*self._parents)
+        return lines
+
+
+def _certified(
+    a: Solution, b: Solution, sa: tuple, sb: tuple, row: List[_Built],
+    col: List[_Built], cap: float, q: float, margin: float, c_max: float,
+):
+    """A suspect the parents' lines certify to dominate ``join(a, b)``.
+
+    ``sa`` and ``sb`` are the parents' line summaries, and ``row`` and
+    ``col`` the sweep's built pairs sharing ``a`` and ``b``.  The
+    suspects among them are those within the pair's ``cap`` and ``q``:
+    the sweep order already puts their cost at or below its own.  They
+    are tried newest first, column before row, where killers turn up
+    soonest on the ledger's nets; the answer does not depend on it.  A
+    suspect certifies the pair when its domain contains the pair's and,
+    for ``arr`` and for ``diam``, each of its lines
+    (:func:`_suspect_lines`) lies below one of the pair's terms by more
+    than ``margin`` on the span of the pair's domain
+    (:func:`_lines_below`), or one line on top of both functions is
+    shared (:func:`_shared_top`); docs/ALGORITHMS.md §16.  Such a pair
+    is one :func:`_dominated` drops on its built pieces.
+
+    Returns the certifying suspect; None when there are suspects and
+    none certifies; ``_UNSUSPECTED`` when there is no suspect;
+    ``_NO_PAIR`` when the pair has no domain.  Two parents with
+    one-segment functions on one interval take :func:`_certified_lines`
+    instead, which decides the same way.
+    """
+    domain = arr_pieces = diam_pieces = None
+    for group in (col, row):
+        for r in reversed(group):
+            if r.cap > cap or r.q > q:
+                continue
+            if domain is None:
+                # join_pieces' domain, by the same call
+                domain = a.domain.shift_clamp(
+                    -b.cap, 0.0, c_max, meet=(b.domain, -a.cap)
+                )
+                if domain.is_empty:
+                    return _NO_PAIR
+            if not domain_subset(domain, r.pair.domain):
+                continue
+            k_arr, arr_exact, k_diam, diam_exact = r.lines()
+            if arr_pieces is None:
+                ivs = domain._intervals
+                d_lo = ivs[0][0]
+                d_hi = ivs[-1][1]
+                p_arr, arr_multi, p_diam, diam_multi = _pair_terms(sa, sb)
+                arr_pieces = _term_pieces(p_arr, arr_multi, d_lo, d_hi)
+            if not (
+                _lines_below(k_arr, arr_pieces, d_lo, d_hi, margin)
+                or (arr_exact and not arr_multi and _shared_top(
+                    k_arr, p_arr, d_lo, d_hi, margin
+                ))
+            ):
+                continue
+            if diam_pieces is None:
+                diam_pieces = _term_pieces(p_diam, diam_multi, d_lo, d_hi)
+            if _lines_below(k_diam, diam_pieces, d_lo, d_hi, margin) or (
+                diam_exact and not diam_multi
+                and _shared_top(k_diam, p_diam, d_lo, d_hi, margin)
+            ):
+                return r
+    return _UNSUSPECTED if domain is None else None
+
+
+def _term_pieces(
+    lines: List[Tuple[float, float]], multi: List[tuple], d_lo: float, d_hi: float
+) -> Tuple[list, list]:
+    """A function's terms (:func:`_pair_terms`) over the span ``[d_lo,
+    d_hi]``, as ``(ends, pieces)``.  A line is its values at the span's
+    ends; a term of several segments is its pieces ``(x0, x1, value at
+    x0, value at x1)``, one per segment meeting the span, clipped to it,
+    in the pair's coordinate.  Where the pair is defined, each term is
+    its pieces' lines."""
+    ends = [(ic + sl * d_lo, ic + sl * d_hi) for ic, sl in lines]
+    terms = []
+    for segs, shift, add in multi:
+        pieces = []
+        for lo, hi, ic, sl in segs:
+            lo = lo - shift
+            hi = hi - shift
+            if lo <= d_hi and hi >= d_lo:
+                x0 = d_lo if d_lo > lo else lo
+                x1 = d_hi if d_hi < hi else hi
+                ic = ic + sl * shift + add
+                pieces.append((x0, x1, ic + sl * x0, ic + sl * x1))
+        if pieces:  # a term missing from the span bounds nothing
+            terms.append(pieces)
+    return ends, terms
+
+
+def _lines_below(
+    k_lines: List[Tuple[float, float]],
+    p_terms: Tuple[list, list],
+    d_lo: float,
+    d_hi: float,
+    margin: float,
+) -> bool:
+    """Whether each suspect line lies below some pair term
+    (:func:`_term_pieces`) by more than ``margin``: at both ends of each
+    of that term's pieces, so on the whole piece.  A line need not be
+    defined on the whole span: the claim about the line extended is the
+    stronger one."""
+    ends, terms = p_terms
+    for ki, ks in k_lines:
+        lo = ki + ks * d_lo + margin
+        hi = ki + ks * d_hi + margin
+        for v0, v1 in ends:
+            if lo < v0 and hi < v1:
+                break
+        else:
+            for term in terms:
+                for x0, x1, v0, v1 in term:
+                    if not (ki + ks * x0 + margin < v0 and ki + ks * x1 + margin < v1):
+                        break
+                else:
+                    break
+            else:
+                return False
+    return True
+
+
+def _shared_top(
+    k_lines: List[Tuple[float, float]],
+    p_lines: List[Tuple[float, float]],
+    d_lo: float,
+    d_hi: float,
+    margin: float,
+) -> bool:
+    """Whether one line, a term of both functions bit for bit, lies above
+    every other term of either by more than ``margin`` on the span.
+
+    Then ``_combined`` never cuts that line and takes it as each piece's
+    midpoint winner, so both built functions are that line wherever the
+    pair is defined: ``leq_status`` reads differences of exactly zero.
+    Both functions must be lines only (the callers check ``exact``).
+    The comparison is :func:`_lines_below`'s, float for float, so a
+    suspect line that fails there and is not a pair line fails here too
+    (:func:`_certified_lines` relies on it).
+    """
+    for t in k_lines:
+        if t in p_lines:
+            ti, ts = t
+            t_lo = ti + ts * d_lo
+            t_hi = ti + ts * d_hi
+            for lines in (k_lines, p_lines):
+                for ic, sl in lines:
+                    if not (
+                        (ic == ti and sl == ts)
+                        or (ic + sl * d_lo + margin < t_lo and ic + sl * d_hi + margin < t_hi)
+                    ):
+                        return False
+            return True
+    return False
+
+
+def _certified_lines(
+    a: Solution, b: Solution, sa: tuple, sb: tuple, row: List[_Built],
+    col: List[_Built], cap: float, q: float, margin: float, c_max: float,
+):
+    """:func:`_certified` for two parents with line summaries (``sa[4]``
+    and ``sb[4]``), nearly all repeater-mode pairs.
+
+    The pair's domain is one interval, and its terms are at most six
+    lines, so their values at the span's ends are plain floats, computed
+    once a suspect needs them: no term lists, pieces or calls per
+    suspect.  The comparisons are :func:`_lines_below`'s, a missing term
+    being the line ``-inf``, so the answer is :func:`_certified`'s.  A
+    suspect line with no pair line above it can only pass as a shared
+    top line, which is then one of the pair's lines, so
+    :func:`_shared_top` runs only on such a tie.
+    """
+    domain = None
+    for group in (col, row):
+        for r in reversed(group):
+            if r.cap > cap or r.q > q:
+                continue
+            if domain is None:
+                # join_pieces' domain, by the same call
+                domain = a.domain.shift_clamp(
+                    -b.cap, 0.0, c_max, meet=(b.domain, -a.cap)
+                )
+                if domain.is_empty:
+                    return _NO_PAIR
+                (d_lo, d_hi), = domain._intervals
+                aa_ic, aa_sl, ad_ic, ad_sl, a_cap, a_q = sa[4]
+                ba_ic, ba_sl, bd_ic, bd_sl, b_cap, b_q = sb[4]
+                ends = 0  # 1: arr values known, 2: diam values too
+            if not domain_subset(domain, r.pair.domain):
+                continue
+            k_arr, arr_exact, k_diam, diam_exact = r.lines()
+            if not ends:
+                # arrivals shifted by the other side's cap
+                ia = aa_ic + aa_sl * b_cap
+                ib = ba_ic + ba_sl * a_cap
+                a0 = ia + aa_sl * d_lo
+                a1 = ia + aa_sl * d_hi
+                b0 = ib + ba_sl * d_lo
+                b1 = ib + ba_sl * d_hi
+                ends = 1
+            ok = True
+            for ki, ks in k_arr:
+                lo = ki + ks * d_lo + margin
+                hi = ki + ks * d_hi + margin
+                if not ((lo < a0 and hi < a1) or (lo < b0 and hi < b1)):
+                    ok = (
+                        arr_exact
+                        and ((ki == ia and ks == aa_sl) or (ki == ib and ks == ba_sl))
+                        and _shared_top(k_arr, _pair_terms(sa, sb)[0], d_lo, d_hi, margin)
+                    )
+                    break
+            if not ok:
+                continue
+            if ends == 1:
+                # diameters shifted by the other side's cap; arrivals plus
+                # the other side's q
+                ida = ad_ic + ad_sl * b_cap
+                idb = bd_ic + bd_sl * a_cap
+                iqa = ia + b_q
+                iqb = ib + a_q
+                da0 = ida + ad_sl * d_lo
+                da1 = ida + ad_sl * d_hi
+                db0 = idb + bd_sl * d_lo
+                db1 = idb + bd_sl * d_hi
+                qa0 = iqa + aa_sl * d_lo
+                qa1 = iqa + aa_sl * d_hi
+                qb0 = iqb + ba_sl * d_lo
+                qb1 = iqb + ba_sl * d_hi
+                ends = 2
+            for ki, ks in k_diam:
+                lo = ki + ks * d_lo + margin
+                hi = ki + ks * d_hi + margin
+                if not (
+                    (lo < da0 and hi < da1) or (lo < db0 and hi < db1)
+                    or (lo < qa0 and hi < qa1) or (lo < qb0 and hi < qb1)
+                ):
+                    ok = (
+                        diam_exact
+                        and (
+                            (ki == ida and ks == ad_sl) or (ki == idb and ks == bd_sl)
+                            or (ki == iqa and ks == aa_sl) or (ki == iqb and ks == ba_sl)
+                        )
+                        and _shared_top(k_diam, _pair_terms(sa, sb)[2], d_lo, d_hi, margin)
+                    )
+                    break
+            if ok:
+                return r
+    return _UNSUSPECTED if domain is None else None
+
+
+def _check_certified(a: Solution, b: Solution, c_max: float, killer: Solution) -> None:
+    """Contract: a pair the parents' lines certify is one the full check
+    on its built pieces drops too."""
+    pieces = join_pieces(a, b, c_max)
+    if pieces is None or not _dominated(pieces, [killer]):
+        raise contracts.ContractViolation(
+            "predictive join: the parents' lines certify a pair that the "
+            "built pieces do not"
+        )
 
 
 def _dominated(pieces: JoinPieces, killers: List[Solution]) -> bool:

@@ -109,7 +109,9 @@ def leq_status(by_f: Optional[PWL], s_f: Optional[PWL]) -> int:
     overlapping segment pair is *fully* inside the region, *fully*
     outside, or split by one crossing.  Any split — or any mix of inside
     and outside segments — is :data:`LEQ_PARTIAL`, which callers resolve
-    with the exact region machinery.
+    with the exact region machinery.  An outside *point* overlap at the
+    end of a neighbouring full overlap does not count: that overlap's
+    region holds the point (:func:`_ends_full_overlap`).
 
     ``None`` encodes the identically ``-inf`` function (no source or no
     internal pair): ``-inf`` is below everything, nothing finite is below
@@ -154,9 +156,12 @@ def leq_status(by_f: Optional[PWL], s_f: Optional[PWL]) -> int:
                     return LEQ_PARTIAL
                 any_in = True
             elif da_lo > 0.0 and da_hi > 0.0:
-                if any_in:
-                    return LEQ_PARTIAL
-                any_out = True
+                # an "out" point that ends a neighbouring full overlap is
+                # covered by that overlap's region
+                if not (lo == hi and _ends_full_overlap(fs, gs, i, j, lo)):
+                    if any_in:
+                        return LEQ_PARTIAL
+                    any_out = True
             else:
                 ds = asl - bsl
                 if abs(ds) <= _EPS:
@@ -181,6 +186,30 @@ def leq_status(by_f: Optional[PWL], s_f: Optional[PWL]) -> int:
     if not any_in:
         return LEQ_EMPTY
     return LEQ_FULL if not any_out else LEQ_PARTIAL
+
+
+def _ends_full_overlap(fs, gs, i: int, j: int, x: float) -> bool:
+    """Whether ``x`` is an end of a non-degenerate overlap next to the
+    overlap of ``fs[i]`` and ``gs[j]`` in :func:`leq_status`'s walk.
+
+    A point overlap can sit where one function's segment ends and the
+    other's next one begins, and there the two segments' lines can
+    differ by an ulp.  Its region is the point, which the neighbouring
+    overlap's closed region already holds when that overlap is in, so
+    the region union (``region_leq``) coalesces it away.  Were the
+    neighbour out or split, ``leq_status`` is not ``LEQ_FULL`` anyway.
+    """
+    nf = len(fs)
+    ng = len(gs)
+    for ii, jj in ((i - 1, j), (i, j - 1), (i + 1, j), (i, j + 1)):
+        if 0 <= ii < nf and 0 <= jj < ng:
+            a_lo, a_hi = fs[ii][0], fs[ii][1]
+            b_lo, b_hi = gs[jj][0], gs[jj][1]
+            lo = b_lo if b_lo > a_lo else a_lo
+            hi = b_hi if b_hi < a_hi else a_hi
+            if lo < hi and (lo == x or hi == x):
+                return True
+    return False
 
 
 def domain_subset(a: IntervalSet, b: IntervalSet) -> bool:

@@ -14,6 +14,7 @@ Three layers under test:
 
 from __future__ import annotations
 
+import contextlib
 import math
 import os
 
@@ -47,9 +48,10 @@ from repro.core.prefilter import (
     prefilter_front,
 )
 from repro.core.pwl import PWL, Segment, max_segment_count
-from repro.core.solution import Solution, apply_repeater, join
+from repro.core.solution import Solution, apply_repeater, join, join_pieces
 from repro.netgen.random_nets import random_net
 from repro.netgen.workloads import (
+    driver_sizing_options,
     paper_driver_options,
     paper_instance,
     paper_repeater_library,
@@ -222,6 +224,52 @@ def test_leq_status_single_segment_cases():
     left = line(0.0, 0.0, lo=0.0, hi=2.0)
     right = line(0.0, 0.0, lo=5.0, hi=8.0)
     assert leq_status(left, right) == LEQ_EMPTY
+
+
+#: A two-segment ``diam`` from a sizing join on a paper net: its segments
+#: meet at 1.6697... one ulp apart (1913.2379558175342 vs ...534).
+_SIZING_DIAM = PWL((
+    Segment(0.0, 1.6697208029052968, 940.1248363499407, 582.7999015011293),
+    Segment(1.6697208029052968, 2.2079437913748774, 804.5304995734278,
+            664.0076917739582),
+))
+
+
+def test_leq_status_of_a_function_with_itself_at_a_breakpoint():
+    """The walk meets the first segment against the second at their shared
+    breakpoint, where the lines differ by an ulp; the neighbouring full
+    overlaps cover that point, as the region union does."""
+    f = _SIZING_DIAM
+    assert f.region_leq(f) == f.domain()
+    assert leq_status(f, f) == LEQ_FULL
+
+
+@st.composite
+def near_copies(draw):
+    """A PWL and a copy with each intercept moved by a few ulps."""
+    f = draw(pwls())
+    moved = [
+        Segment(lo, hi, _ulps_apart(ic, draw(st.integers(-2, 2))), sl)
+        for lo, hi, ic, sl in f.segments
+    ]
+    return f, PWL(moved)
+
+
+@given(near_copies())
+@settings(max_examples=300)
+def test_leq_status_on_near_copies_matches_the_region(pair):
+    """``leq_status(f, f)`` is full, and on ulp-level copies the
+    classification keeps both implications the pruner relies on."""
+    f, g = pair
+    assert leq_status(f, f) == LEQ_FULL
+    for by, s in ((f, g), (g, f), (f, f)):
+        status = leq_status(by, s)
+        common = by.domain().intersect(s.domain())
+        region = by.region_leq(s).intersect(common)
+        if status == LEQ_FULL:
+            assert region == common
+        elif status == LEQ_EMPTY:
+            assert region.is_empty
 
 
 # -- line_leq_status: the 1x1 block shared with the predictive stage ----------
@@ -897,6 +945,168 @@ def test_predictive_join_ties(second, slope, unbuilt, checking):
     assert _join_certificate_by_construction(left, right, _WIDE) == (
         [0, 1][:2 - unbuilt], 2
     )
+
+
+# -- the certificate from the parents' lines -----------------------------------
+
+
+@contextlib.contextmanager
+def _certified_pairs():
+    """Record ``(a, b, c_max, killer)`` for each pair the parents' lines
+    certify while the block runs."""
+    seen = []
+    names = ("_certified", "_certified_lines")
+    originals = {name: getattr(msri, name) for name in names}
+
+    def spy(real):
+        def certify(a, b, sa, sb, row, col, cap, q, margin, c_max):
+            found = real(a, b, sa, sb, row, col, cap, q, margin, c_max)
+            if isinstance(found, msri._Built):
+                seen.append((a, b, c_max, found.pair))
+            return found
+        return certify
+
+    for name, real in originals.items():
+        setattr(msri, name, spy(real))
+    try:
+        yield seen
+    finally:
+        for name, real in originals.items():
+            setattr(msri, name, real)
+
+
+@contextlib.contextmanager
+def _line_certificate_against_general():
+    """Answer each ``_certified_lines`` call with ``_certified`` too,
+    assert both agree, and record the answers."""
+    answers = []
+    real = msri._certified_lines
+
+    def certify(*args):
+        found = real(*args)
+        assert found is msri._certified(*args)
+        answers.append(found)
+        return found
+
+    msri._certified_lines = certify
+    try:
+        yield answers
+    finally:
+        msri._certified_lines = real
+
+
+def _assert_dominated_when_built(seen):
+    """Each certified pair is one the full check drops on its pieces."""
+    for a, b, c_max, killer in seen:
+        pieces = join_pieces(a, b, c_max)
+        assert pieces is not None
+        assert msri._dominated(pieces, [killer])
+
+
+@given(join_sides())
+@settings(max_examples=200, deadline=None)
+def test_certified_join_pairs_are_dominated_when_built(sides):
+    left, right = sides
+    with _certified_pairs() as seen, contracts.checking(False):
+        msri._joined_pairs(left, right, _WIDE, True)
+    _assert_dominated_when_built(seen)
+
+
+@st.composite
+def line_sides(draw):
+    """Two child fronts on a small axis, where the margin is small next
+    to the gaps between lines: lines, two-segment functions, holes and
+    exact ties."""
+    c_max = 10.0
+    level = st.sampled_from([0.0, 1.0, 1.5, 3.0])
+    fun = st.one_of(
+        st.none(),
+        st.tuples(level, st.sampled_from([0.0, 0.5, 2.0])).map(
+            lambda p: PWL.linear(p[0], p[1], 0.0, c_max)
+        ),
+        st.tuples(level, level).map(
+            lambda p: PWL.from_breakpoints([0.0, 4.0, c_max], [p[0], p[0] + 2.0, p[1] + 9.0])
+        ),
+    )
+    dom = st.sampled_from([
+        IntervalSet.single(0.0, c_max),
+        IntervalSet.single(0.0, 6.0),
+        IntervalSet.from_pairs([(0.0, 2.0), (3.0, c_max)]),
+    ])
+
+    def side():
+        out = []
+        for _ in range(draw(st.integers(min_value=1, max_value=5))):
+            d = draw(dom)
+            arr = draw(fun)
+            diam = draw(fun)
+            out.append(Solution(
+                cost=draw(st.sampled_from([0.0, 1.0])),
+                cap=draw(st.sampled_from([0.0, 0.5, 1.0])),
+                q=draw(st.sampled_from([NEVER, 0.0, 2.0])),
+                arr=None if arr is None else arr.restrict(d),
+                diam=None if diam is None else diam.restrict(d),
+                domain=d,
+            ))
+        return out
+
+    return side(), side(), c_max
+
+
+@given(line_sides())
+@settings(max_examples=300, deadline=None)
+def test_certified_pairs_on_small_fronts_are_dominated_when_built(sides):
+    left, right, c_max = sides
+    with _certified_pairs() as seen, contracts.checking(False):
+        msri._joined_pairs(left, right, c_max, True)
+    _assert_dominated_when_built(seen)
+
+
+_MODES = {
+    "repeaters": repeater_insertion_options,
+    "sizing": driver_sizing_options,
+}
+
+
+@given(line_sides())
+@settings(max_examples=300, deadline=None)
+def test_line_certificate_decides_as_the_general_one(sides):
+    left, right, c_max = sides
+    with _line_certificate_against_general(), contracts.checking(False):
+        msri._joined_pairs(left, right, c_max, True)
+
+
+@pytest.mark.parametrize("mode", sorted(_MODES))
+@pytest.mark.parametrize("pins", [4, 5])
+def test_line_certificate_decides_as_the_general_one_on_paper_nets(mode, pins):
+    with _line_certificate_against_general() as answers:
+        insert_repeaters(paper_instance(pins, pins), TECH, _MODES[mode]())
+    assert any(isinstance(found, msri._Built) for found in answers)
+
+
+@pytest.mark.parametrize("mode", sorted(_MODES))
+@pytest.mark.parametrize("pins", [3, 4, 5, 6])
+def test_certified_pairs_on_paper_nets_are_dominated_when_built(mode, pins):
+    with _certified_pairs() as seen:
+        insert_repeaters(paper_instance(pins, pins), TECH, _MODES[mode]())
+    _assert_dominated_when_built(seen)
+
+
+@pytest.mark.parametrize("mode", sorted(_MODES))
+def test_certificate_fires_on_a_paper_net(mode):
+    """The certificate settles most of a paper net's dropped pairs; in
+    sizing mode some of them have a parent of several segments."""
+    tree = paper_instance(0, 5)
+    with _certified_pairs() as seen:
+        result = insert_repeaters(tree, TECH, _MODES[mode]())
+    assert len(seen) >= 20
+    if mode == "sizing":
+        assert any(
+            f is not None and f.num_segments > 1
+            for a, b, _, _ in seen for s in (a, b) for f in (s.arr, s.diam)
+        )
+    baseline = insert_repeaters(tree, TECH, _MODES[mode](prefilter=False))
+    assert result.tradeoff() == baseline.tradeoff()
 
 
 # -- the caps ------------------------------------------------------------------
