@@ -7,9 +7,8 @@ object-graph walk — node views, dict lookups, record allocation —
 dominates.  This benchmark evaluates the same seeded corpus twice:
 
 * reference: one :func:`repro.core.ard.ard` full pass per net;
-* batched: one :func:`repro.rctree.flat.evaluate_batch` call, cold
-  (compiling every net) and warm (every compile served by the
-  :class:`~repro.rctree.flat.FlatNetCache`).
+* batched: one :func:`repro.rctree.flat.evaluate_batch` call, which
+  compiles every net and runs the kernel over it.
 
 Every ARD value and critical pair is asserted **bit-identical** between
 the two before any time is compared — a fast-but-wrong kernel cannot
@@ -37,7 +36,7 @@ from repro.core.ard import ard
 from repro.netgen import paper_repeater_library, paper_technology, random_net
 from repro.netgen.workloads import paper_net_spec
 from repro.rctree.engine import EvalContext
-from repro.rctree.flat import FlatNetCache, evaluate_batch
+from repro.rctree.flat import evaluate_batch
 
 SPACING_CHOICES = (400.0, 800.0, 1600.0)
 
@@ -82,24 +81,17 @@ def run_comparison(n_nets: int = 400, seed: int = 0, repeats: int = 3):
         ],
         repeats,
     )
-    t_cold, cold = _median_time(
+    t_batch, batch = _median_time(
         lambda: evaluate_batch(nets, tech, contexts=contexts), repeats
     )
-    cache = FlatNetCache(maxsize=2 * n_nets)
-    evaluate_batch(nets, tech, contexts=contexts, cache=cache)  # prime
-    t_warm, warm = _median_time(
-        lambda: evaluate_batch(nets, tech, contexts=contexts, cache=cache),
-        repeats,
-    )
 
-    for k, (a, b, c) in enumerate(zip(ref, cold, warm)):
+    for k, (a, b) in enumerate(zip(ref, batch)):
         # exact comparison is the point: the kernel must be bit-identical
-        if not (a.value == b.value == c.value):  # repro: noqa[R001]
+        if not (a.value == b.value):  # repro: noqa[R001]
             raise AssertionError(
-                f"net {k}: reference {a.value!r}, batch cold {b.value!r}, "
-                f"batch warm {c.value!r}"
+                f"net {k}: reference {a.value!r}, batch {b.value!r}"
             )
-        if not ((a.source, a.sink) == (b.source, b.sink) == (c.source, c.sink)):
+        if (a.source, a.sink) != (b.source, b.sink):
             raise AssertionError(f"net {k}: critical pairs diverge")
 
     return {
@@ -107,14 +99,9 @@ def run_comparison(n_nets: int = 400, seed: int = 0, repeats: int = 3):
         "total_nodes": total_nodes,
         "repeats": repeats,
         "t_reference": t_reference,
-        "t_cold": t_cold,
-        "t_warm": t_warm,
-        "speedup_cold": t_reference / t_cold,
-        "speedup_warm": t_reference / t_warm,
-        "speedup": t_reference / min(t_cold, t_warm),
-        "cache_hits": cache.hits,
-        "cache_misses": cache.misses,
-        "nodes_per_s": total_nodes / t_warm,
+        "t_batch": t_batch,
+        "speedup": t_reference / t_batch,
+        "nodes_per_s": total_nodes / t_batch,
     }
 
 
@@ -127,15 +114,9 @@ def render(report) -> str:
     table.add_row("total tree nodes", report["total_nodes"])
     table.add_row("timing repeats (median)", report["repeats"])
     table.add_row("per-net reference (s)", f"{report['t_reference']:.3f}")
-    table.add_row("batch, cold compile (s)", f"{report['t_cold']:.3f}")
-    table.add_row("batch, warm cache (s)", f"{report['t_warm']:.3f}")
-    table.add_row("speedup (cold)", f"{report['speedup_cold']:.2f}x")
-    table.add_row("speedup (warm)", f"{report['speedup_warm']:.2f}x")
-    table.add_row(
-        "compile cache hits/misses",
-        f"{report['cache_hits']}/{report['cache_misses']}",
-    )
-    table.add_row("warm throughput (nodes/s)", f"{report['nodes_per_s']:.0f}")
+    table.add_row("batch, compile + kernel (s)", f"{report['t_batch']:.3f}")
+    table.add_row("speedup", f"{report['speedup']:.2f}x")
+    table.add_row("batch throughput (nodes/s)", f"{report['nodes_per_s']:.0f}")
     table.add_note(
         "every ARD value and critical pair asserted bit-identical to the "
         "reference pass before any wall-clock is compared"
@@ -152,9 +133,9 @@ def main(argv=None) -> int:
         "--assert-speedup",
         type=float,
         default=None,
-        help="fail unless batched evaluation beats per-net reference "
-        "passes by this factor (gates on the better of cold/warm — "
-        "medians over --repeats runs)",
+        help="fail unless batched evaluation, compile included, beats "
+        "per-net reference passes by this factor (medians over --repeats "
+        "runs)",
     )
     parser.add_argument(
         "--no-save", action="store_true", help="skip writing benchmarks/results"
@@ -184,12 +165,10 @@ def test_flat_batch_speedup(benchmark):
     assert report["speedup"] >= 3.0
     tech = paper_technology()
     nets, contexts = build_corpus(150, 0)
-    cache = FlatNetCache(maxsize=400)
-    evaluate_batch(nets, tech, contexts=contexts, cache=cache)
     benchmark.pedantic(
         evaluate_batch,
         args=(nets, tech),
-        kwargs={"contexts": contexts, "cache": cache},
+        kwargs={"contexts": contexts},
         rounds=3,
         iterations=1,
     )

@@ -34,10 +34,9 @@ def run_serve_load(
     sessions: int = 8,
     edits: int = 50,
     seed: int = 0,
-    engine: str = "flat",
 ):
     """One measured load-generator pass against a fresh in-process server."""
-    server, stop = start_in_thread(ServeConfig(engine=engine))
+    server, stop = start_in_thread(ServeConfig())
     try:
         report = run_load(
             "127.0.0.1",
@@ -45,7 +44,6 @@ def run_serve_load(
             sessions=sessions,
             edits_per_session=edits,
             seed=seed,
-            engine=engine,
         )
     finally:
         stop()
@@ -59,12 +57,11 @@ def run_serve_load(
     return report
 
 
-def render(report, engine: str) -> str:
+def render(report) -> str:
     table = Table(
         "serve: concurrent sessions vs serial replay — latency and throughput",
         ["metric", "value"],
     )
-    table.add_row("engine", engine)
     table.add_row("concurrent sessions", report.sessions)
     table.add_row("edit round-trips", report.edits_total)
     table.add_row("wall-clock (s)", f"{report.wall_s:.2f}")
@@ -85,7 +82,6 @@ def main(argv=None) -> int:
     parser.add_argument("--sessions", type=int, default=8)
     parser.add_argument("--edits", type=int, default=50)
     parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--engine", default="flat")
     parser.add_argument(
         "--assert-p99-ms",
         type=float,
@@ -97,8 +93,8 @@ def main(argv=None) -> int:
     )
     args = parser.parse_args(argv)
 
-    report = run_serve_load(args.sessions, args.edits, args.seed, args.engine)
-    out = render(report, args.engine)
+    report = run_serve_load(args.sessions, args.edits, args.seed)
+    out = render(report)
     print(out)
     if not args.no_save:
         save_text("serve_latency.txt", out)

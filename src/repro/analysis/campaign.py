@@ -216,7 +216,6 @@ def run_campaign(
     resume: bool = False,
     progress: Optional[Callable[[int, int, JobOutcome], None]] = None,
     job_fn: Optional[Callable[[int, int, float], InstanceResult]] = None,
-    engine: Optional[str] = None,
 ) -> Campaign:
     """Execute every job in the grid; always returns a complete Campaign.
 
@@ -229,28 +228,15 @@ def run_campaign(
     ``progress(done, total, outcome)`` is invoked after each freshly
     executed job.  ``job_fn`` swaps the per-job callable — the hook the
     fault-injection tests use; it must be picklable for ``workers>=1``.
-    ``engine`` names a registry engine to bit-identity-check against the
-    reference pass on every job's net (see
-    :func:`~repro.analysis.experiments.verify_engine_agreement`); it is a
-    :func:`functools.partial` over the default job, so it composes with
-    worker pools but not with a custom ``job_fn``.
     """
     import functools
 
     from .. import __version__
-    from ..rctree.registry import engine_names
 
-    if engine is not None and job_fn is not None:
-        raise ValueError("pass engine= or job_fn=, not both")
     if config.msri is not None and job_fn is not None:
         raise ValueError(
             "config.msri overrides compose with the default job only; "
             "a custom job_fn must apply its own MSRI options"
-        )
-    if engine is not None and engine not in engine_names():
-        raise ValueError(
-            f"unknown engine {engine!r}; available: "
-            f"{', '.join(engine_names())}"
         )
     if config.use_msri_cache and job_fn is not None:
         raise ValueError(
@@ -258,11 +244,9 @@ def run_campaign(
             "a custom job_fn must manage its own cache"
         )
     fn = job_fn if job_fn is not None else run_instance
-    if engine is not None or config.msri is not None or config.use_msri_cache:
+    if config.msri is not None or config.use_msri_cache:
         # module-level function + keyword partial: picklable for workers>=1
         kwargs: Dict = {}
-        if engine is not None:
-            kwargs["engine"] = engine
         if config.msri is not None:
             kwargs["msri"] = dict(config.msri)
         if config.use_msri_cache:

@@ -30,7 +30,6 @@ from .report import Table
 __all__ = [
     "InstanceResult",
     "run_instance",
-    "verify_engine_agreement",
     "table1",
     "table2",
     "table3",
@@ -58,31 +57,6 @@ class InstanceResult:
     spacing: float = 0.0        # insertion spacing (um) this instance used
 
 
-def verify_engine_agreement(tree, tech, engine: str) -> None:
-    """Assert the named engine matches the reference engine bit-for-bit.
-
-    The registry engines are contractually bit-identical on any net; this
-    guard evaluates the bare tree through both and raises
-    :class:`RuntimeError` on the first disagreement.  (The optimizer's DP
-    ``base_ard`` is *not* comparable — it includes driver-stage terms the
-    bare-tree engines deliberately exclude.)
-    """
-    from ..rctree.registry import make_engine
-
-    named = make_engine(engine, tree, tech).evaluate(tree)
-    reference = make_engine("reference", tree, tech).evaluate(tree)
-    if (named.value, named.source, named.sink) != (
-        reference.value,
-        reference.source,
-        reference.sink,
-    ):
-        raise RuntimeError(
-            f"engine {engine!r} disagrees with the reference pass: "
-            f"{named.value!r} ({named.source}->{named.sink}) vs "
-            f"{reference.value!r} ({reference.source}->{reference.sink})"
-        )
-
-
 #: Worker-process-local subtree-front cache for ``use_msri_cache`` runs.
 #: One per process: campaign jobs land on a pool worker repeatedly, and
 #: consecutive jobs (same topology swept over spacings, or neighboring
@@ -106,27 +80,21 @@ def run_instance(
     n_pins: int,
     spacing: float = PAPER_SPACING_UM,
     *,
-    engine: Optional[str] = None,
     msri: Optional[dict] = None,
     use_msri_cache: bool = False,
 ) -> InstanceResult:
     """Evaluate one net in both optimization modes.
 
-    ``engine`` optionally names a registry engine to cross-check against
-    the reference pass on this instance's net (a per-job bit-identity
-    guard for campaigns run with ``--engine``).  ``msri`` optionally
-    carries pruning-knob overrides (``prefilter``, ``max_front_width``,
-    ``max_pwl_segments``, ``lossy``, ``spec``, ``quantize_bound`` — see
-    :func:`repro.core.msri.validate_msri_overrides`) applied to *both*
-    optimization modes.  ``use_msri_cache`` routes both optimizations
-    through a worker-process-local subtree-front cache
+    ``msri`` optionally carries pruning-knob overrides (``prefilter``,
+    ``max_front_width``, ``max_pwl_segments``, ``lossy``, ``spec``,
+    ``quantize_bound`` — see :func:`repro.core.msri.validate_msri_overrides`)
+    applied to *both* optimization modes.  ``use_msri_cache`` routes both
+    optimizations through a worker-process-local subtree-front cache
     (:class:`~repro.core.msri_cache.MSRICache`) — bit-identical results,
     cheaper repeats; pair with ``quantize_bound`` for cross-net hits.
     """
     tech = paper_technology()
     tree = paper_instance(seed, n_pins, spacing)
-    if engine is not None and engine not in ("reference", "elmore"):
-        verify_engine_agreement(tree, tech, engine)
 
     overrides = validate_msri_overrides(msri)
     if use_msri_cache:

@@ -4,7 +4,7 @@ The optimizer commits to an assignment using nominal technology constants,
 but fabricated wires and devices vary.  This module quantifies how a
 solution's augmented RC-diameter moves under random multiplicative
 perturbations of the wire constants and device parameters — a Monte-Carlo
-corner sweep over the existing Elmore engine.
+corner sweep over one persistent flat timing engine.
 
 The headline question (answered by ``benchmarks/bench_variation.py``): do
 the optimizer's buffered solutions stay better than the unbuffered net
@@ -27,6 +27,7 @@ except ImportError:  # pragma: no cover - exercised by the no-numpy CI leg
     np = None
 
 from ..rctree.engine import EvalContext
+from ..rctree.flat import FlatARDEngine
 from ..rctree.topology import NodeKind, RoutingTree
 from ..tech.buffers import Repeater
 from ..tech.parameters import Technology
@@ -81,16 +82,13 @@ def monte_carlo_ard(
     model: VariationModel = VariationModel(),
     samples: int = 100,
     seed: int = 0,
-    engine: str = "flat",
 ) -> VariationResult:
     """Sample the ARD under die-to-die parameter variation.
 
-    All samples run on one persistent engine: a sample is a
+    All samples run on one persistent
+    :class:`~repro.rctree.flat.FlatARDEngine`: a sample is a
     :meth:`set_wire_scale` (die-to-die wire corner) plus per-terminal and
     per-repeater device overrides — no tree or engine rebuild per sample.
-    ``engine`` names the registered engine carrying the sweep (default
-    ``"flat"``; it needs the edit ops, so of the registry's names only
-    ``"flat"`` qualifies — see :func:`repro.rctree.registry.engine_names`).
     Requires numpy.
     """
     if np is None:
@@ -99,16 +97,9 @@ def monte_carlo_ard(
         raise ValueError("need at least one sample")
     rng = np.random.default_rng(seed)
     base_assignment = dict(assignment or {})
-    from ..rctree.registry import make_engine
-
-    engine = make_engine(
-        engine, tree, tech, context=EvalContext(assignment=base_assignment)
+    engine = FlatARDEngine(
+        tree, tech, context=EvalContext(assignment=base_assignment)
     )
-    if not hasattr(engine, "set_wire_scale") or not hasattr(engine, "set_terminal"):
-        raise TypeError(
-            f"monte_carlo_ard needs an engine with set_wire_scale()/"
-            f"set_terminal(); {type(engine).__name__} has neither"
-        )
     nominal = engine.evaluate(tree).value
     terminals = [
         (idx, tree.node(idx).terminal)

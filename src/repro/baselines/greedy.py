@@ -56,16 +56,10 @@ def greedy_insertion(
 
     ``engine`` must expose ``evaluate()`` and ``set_assignment(node, rep)``
     over ``tree`` with an initially empty assignment; the default is a
-    fresh :class:`~repro.rctree.flat.FlatARDEngine`.  A string
-    names a registered engine instead
-    (:func:`repro.rctree.registry.engine_names`, e.g. ``"flat"``).
+    fresh :class:`~repro.rctree.flat.FlatARDEngine`.
     """
     if engine is None:
         engine = FlatARDEngine(tree, tech)
-    elif isinstance(engine, str):
-        from ..rctree.registry import make_engine
-
-        engine = make_engine(engine, tree, tech)
     if not hasattr(engine, "set_assignment"):
         raise TypeError(
             f"greedy_insertion needs an engine with set_assignment(); "

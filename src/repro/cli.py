@@ -23,11 +23,9 @@ Subcommands
     topology for a seeded point set (or one loaded from a points file) and
     write the resulting net.
 ``campaign``
-    Run a sharded, resumable experiment sweep (Tables II/IV protocol);
-    ``--engine`` adds a per-job bit-identity guard against the reference
-    pass.
+    Run a sharded, resumable experiment sweep (Tables II/IV protocol).
 ``serve``
-    Start the NDJSON session daemon over the editable engines
+    Start the NDJSON session daemon over the flat timing engine
     (``docs/SERVING.md``), or with ``--self-test`` run the in-process
     concurrent load generator and assert every streamed response is
     byte-identical to a serial replay.
@@ -62,7 +60,6 @@ from .io.serialize import (
     save_tree,
 )
 from .netgen.random_nets import random_net
-from .rctree.registry import editable_engine_names, engine_names, make_engine
 from .netgen.workloads import (
     PAPER_SPACING_UM,
     driver_sizing_options,
@@ -158,13 +155,6 @@ def build_parser() -> argparse.ArgumentParser:
     a = sub.add_parser("ard", help="compute the augmented RC-diameter")
     a.add_argument("net", help="net JSON path")
     a.add_argument("--assignment", help="repeater assignment JSON path")
-    a.add_argument(
-        "--engine",
-        choices=sorted(engine_names()),
-        default="reference",
-        help="timing engine (default: reference; 'flat' runs the "
-        "array kernel)",
-    )
 
     o = sub.add_parser("optimize", help="run the MSRI optimizer")
     o.add_argument("net", help="net JSON path")
@@ -172,12 +162,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--mode",
         choices=["repeater", "sizing", "both"],
         default="repeater",
-    )
-    o.add_argument(
-        "--engine",
-        choices=sorted(engine_names()),
-        help="also measure the input net (bare and, with --spec, under the "
-        "chosen assignment) through this registry engine",
     )
     o.add_argument(
         "--spec",
@@ -217,13 +201,6 @@ def build_parser() -> argparse.ArgumentParser:
         type=float,
         default=PAPER_SPACING_UM,
         help="insertion-point spacing for the written net (0 disables)",
-    )
-    s.add_argument(
-        "--engine",
-        choices=sorted(engine_names()),
-        default="flat",
-        help="timing engine scoring candidate topologies "
-        "(default: flat; ignored with --objective msri)",
     )
     s.add_argument(
         "--objective",
@@ -310,12 +287,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="replay the checkpoint and re-run only missing or failed jobs",
     )
     c.add_argument(
-        "--engine",
-        choices=sorted(engine_names()),
-        help="bit-identity-check this registry engine against the "
-        "reference pass on every job's net",
-    )
-    c.add_argument(
         "--msri-cache",
         action="store_true",
         help="route every job's optimizations through a worker-local "
@@ -335,13 +306,6 @@ def build_parser() -> argparse.ArgumentParser:
         type=int,
         default=8642,
         help="listen port (0 = OS-assigned; default 8642)",
-    )
-    v.add_argument(
-        "--engine",
-        choices=sorted(editable_engine_names()),
-        default="flat",
-        help="default session engine (editable engines only; "
-        "default: flat)",
     )
     v.add_argument(
         "--timeout", type=float, default=30.0, help="per-request timeout (s)"
@@ -450,13 +414,7 @@ def _cmd_ard(args) -> int:
     tree = load_tree(args.net)
     assignment = _load_assignment(args.assignment)
     context = EvalContext(assignment=assignment)
-    if args.engine == "reference":
-        result = ard(tree, paper_technology(), context=context)
-    else:
-        engine = make_engine(
-            args.engine, tree, paper_technology(), context=context
-        )
-        result = engine.evaluate(tree)
+    result = ard(tree, paper_technology(), context=context)
     if not result.is_finite:
         print("net has no source/sink pair; ARD is undefined")
         return 1
@@ -469,9 +427,6 @@ def _cmd_ard(args) -> int:
 def _cmd_optimize(args) -> int:
     tree = load_tree(args.net)
     tech = paper_technology()
-    if args.engine:
-        bare = make_engine(args.engine, tree, tech).evaluate(tree)
-        print(f"input net ARD ({args.engine} engine): {bare.value:.1f} ps")
     overrides = _pruning_overrides(args, spec=args.spec)
     if args.mode == "repeater":
         options = repeater_insertion_options(**overrides)
@@ -510,18 +465,6 @@ def _cmd_optimize(args) -> int:
             for k, v in chosen.assignment().items()
             if isinstance(v, Repeater)
         }
-        if args.engine:
-            measured = make_engine(
-                args.engine,
-                tree,
-                tech,
-                context=EvalContext(assignment=reps),
-            ).evaluate(tree)
-            print(
-                f"net ARD under the chosen assignment "
-                f"({args.engine} engine, driver stages excluded): "
-                f"{measured.value:.1f} ps"
-            )
         if args.save_assignment:
             with open(args.save_assignment, "w") as fh:
                 json.dump(assignment_to_dict(reps), fh, indent=2)
@@ -597,7 +540,6 @@ def _cmd_synthesize(args) -> int:
             terminals,
             paper_technology(),
             wirelength_weight=args.wirelength_weight,
-            engine=args.engine,
         )
     tree = result.tree
     if args.spacing:
@@ -731,7 +673,6 @@ def _cmd_campaign(args) -> int:
         checkpoint_path=checkpoint,
         resume=args.resume,
         progress=progress,
-        engine=args.engine,
     )
     campaign.save(args.output)
     print()
@@ -757,7 +698,6 @@ def _cmd_serve(args) -> int:
         config = ServeConfig(
             host=args.host,
             port=0,  # ephemeral: never collide with a real deployment
-            engine=args.engine,
             request_timeout_s=args.timeout,
             session_ttl_s=args.ttl,
             max_frame_bytes=args.max_frame_bytes,
@@ -770,13 +710,11 @@ def _cmd_serve(args) -> int:
                 sessions=args.sessions,
                 edits_per_session=args.edits,
                 seed=args.seed,
-                engine=args.engine,
             )
         finally:
             stop()
         t = Table(
-            f"serve self-test ({args.sessions} concurrent sessions, "
-            f"engine={args.engine})",
+            f"serve self-test ({args.sessions} concurrent sessions)",
             ["metric", "value"],
         )
         t.add_row("edit round-trips", report.edits_total)
@@ -800,7 +738,6 @@ def _cmd_serve(args) -> int:
         ServeConfig(
             host=args.host,
             port=args.port,
-            engine=args.engine,
             request_timeout_s=args.timeout,
             session_ttl_s=args.ttl,
             max_frame_bytes=args.max_frame_bytes,

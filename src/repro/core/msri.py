@@ -95,6 +95,10 @@ _OBS_CAP_EXCEEDED = obs.Counter("msri.cap.exceeded")
 _OBS_SEG_OVER_BUDGET = obs.Counter("pwl.segments.over_budget")
 _OBS_SEG_DROPPED = obs.Counter("pwl.segments.dropped")
 
+#: Set size below which the Fig. 4 divide-and-conquer MFS falls back to
+#: the pairwise pruner.
+_MFS_LEAF_SIZE = 8
+
 #: Override keys the wire/campaign/CLI layers may set on MSRIOptions.
 _OVERRIDE_KEYS = (
     "prefilter",
@@ -202,7 +206,6 @@ class MSRIOptions:
     driver_options: Optional[Sequence[object]] = None
     wire_library: Optional[Sequence[object]] = None
     use_divide_and_conquer: bool = True
-    mfs_leaf_size: int = 8
     prefilter: bool = True
     max_front_width: Optional[int] = None
     max_pwl_segments: Optional[int] = None
@@ -222,10 +225,6 @@ class MSRIOptions:
             )
         if self.wire_library is not None and not self.wire_library:
             raise ValueError("wire_library may not be empty when given")
-        if self.mfs_leaf_size < 1:
-            raise ValueError(
-                f"mfs_leaf_size must be >= 1, got {self.mfs_leaf_size}"
-            )
         if self.max_front_width is not None and self.max_front_width < 2:
             raise ValueError(
                 f"max_front_width must be >= 2 (a front needs at least its "
@@ -1454,10 +1453,10 @@ def _make_pruner(options: MSRIOptions):
     prescreen = options.prefilter
     if options.use_divide_and_conquer:
         base = lambda sols: mfs(  # noqa: E731
-            sols, leaf_size=options.mfs_leaf_size, prescreen=prescreen
+            sols, leaf_size=_MFS_LEAF_SIZE, prescreen=prescreen
         )
         baseline = lambda sols: mfs(  # noqa: E731
-            sols, leaf_size=options.mfs_leaf_size, prescreen=False
+            sols, leaf_size=_MFS_LEAF_SIZE, prescreen=False
         )
     else:
         base = lambda sols: mfs_pairwise(sols, prescreen=prescreen)  # noqa: E731

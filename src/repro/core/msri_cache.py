@@ -15,9 +15,8 @@ why fresh ``uid`` tie-breaks preserve value-bit-identity).
 This module provides the three layers the cache needs:
 
 * **signatures** — :func:`subtree_signatures` composes one blake2b digest
-  per vertex bottom-up in O(n) total, mirroring
-  :func:`repro.rctree.flat.canonical_net_key`'s convention: floats enter as
-  raw IEEE-754 bytes, names never enter (they never enter the arithmetic);
+  per vertex bottom-up in O(n) total: floats enter as raw IEEE-754 bytes,
+  names never enter (they never enter the arithmetic);
   :func:`options_fingerprint` digests the technology constants and every
   optimizer knob; :func:`front_key` combines both with ``c_max``, and
   :func:`root_key` does the same for a whole net's root suite under its
@@ -29,9 +28,8 @@ This module provides the three layers the cache needs:
   cached under one tree rebuilds with correctly remapped indices under any
   tree with the same subtree signature.  :func:`pack_root` /
   :func:`unpack_root` do the same for the root's ``(cost, ARD)`` suite.
-* **the LRU** — :class:`MSRICache`, modeled on
-  :class:`~repro.rctree.flat.FlatNetCache`, with ``msri.cache.*`` obs
-  counters exposing its economics.
+* **the LRU** — :class:`MSRICache`, with ``msri.cache.*`` obs counters
+  exposing its economics.
 
 The cache stores packed records (immutable tuples of floats and frozen
 dataclasses), never live :class:`~repro.core.solution.Solution` objects:
@@ -74,7 +72,7 @@ _OBS_MISSES = obs.Counter("msri.cache.misses")
 _OBS_STORES = obs.Counter("msri.cache.stores")
 _OBS_EVICTIONS = obs.Counter("msri.cache.evictions")
 
-#: Node-kind codes shared with ``canonical_net_key``.
+#: Node-kind codes of the subtree signatures.
 _KIND_CODE = {NodeKind.TERMINAL: 0, NodeKind.STEINER: 1, NodeKind.INSERTION: 2}
 
 #: One packed solution: ``(cost, cap, q, parity, domain, arr, diam,
@@ -102,7 +100,6 @@ def options_fingerprint(tech: Technology, options: MSRIOptions) -> bytes:
     """
     ints: List[int] = [
         1 if options.use_divide_and_conquer else 0,
-        options.mfs_leaf_size,
         1 if options.prefilter else 0,
         -1 if options.max_front_width is None else options.max_front_width,
         -1 if options.max_pwl_segments is None else options.max_pwl_segments,

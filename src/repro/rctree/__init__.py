@@ -12,18 +12,10 @@ from .engine import (
 from .flat import (
     FlatARDEngine,
     FlatNet,
-    FlatNetCache,
-    canonical_net_key,
     compile_net,
     evaluate_batch,
 )
-from .registry import (
-    editable_engine_names,
-    engine_names,
-    make_editable_engine,
-    make_engine,
-    resolve_engine_factory,
-)
+from .registry import make_editable_engine
 from .slew import SlewAnalyzer, SlewModel
 from .topology import Node, NodeKind, RoutingTree
 
@@ -38,15 +30,9 @@ __all__ = [
     "ElmoreAnalyzer",
     "FlatARDEngine",
     "FlatNet",
-    "FlatNetCache",
-    "canonical_net_key",
     "compile_net",
     "evaluate_batch",
-    "engine_names",
-    "editable_engine_names",
-    "make_engine",
     "make_editable_engine",
-    "resolve_engine_factory",
     "SlewAnalyzer",
     "SlewModel",
     "Node",

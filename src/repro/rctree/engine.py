@@ -25,7 +25,9 @@ Engines implementing ``TimingEngine``: ``ElmoreAnalyzer`` (full Fig. 2
 pass), ``SlewAnalyzer`` (slew-aware pair enumeration), ``FlatARDEngine``
 (array kernel with dirty-root-path re-propagation) and
 ``SimulationEngine`` (event-driven cross-check).  ``FlatARDEngine``
-additionally implements ``EditableEngine``.
+additionally implements ``EditableEngine`` and is the one editable
+engine.  Callers choose an engine by passing the object (or a per-tree
+factory), not a name; ``ElmoreAnalyzer`` and ``ard()`` are the oracle.
 
 As of v2.0 the engines take their knobs exclusively as one keyword-only
 ``context=EvalContext(...)``; the pre-context per-knob shims

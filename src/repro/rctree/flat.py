@@ -37,18 +37,14 @@ sibling skip-sums are deliberately **not** rewritten as subtractions: a
 subtract-the-child trick differs in floats from the reference's exact
 skip-sum for fan-out > 2, which would break the bit-identity contract.
 
-``evaluate_batch`` amortizes everything that is per-net overhead in the
-reference path (engine construction, tree validation, per-node timing
-table) across thousands of nets, with an LRU compile cache keyed on the
-canonical net hash.
+``evaluate_batch`` compiles and evaluates many nets in one call without
+the per-net overhead of the reference path (engine construction, tree
+validation, per-node timing table).
 """
 
 from __future__ import annotations
 
-import hashlib
 import heapq
-from array import array
-from collections import OrderedDict
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from ..check import contracts
@@ -71,20 +67,15 @@ from .topology import NodeKind, RoutingTree
 __all__ = [
     "FlatNet",
     "FlatARDEngine",
-    "FlatNetCache",
-    "canonical_net_key",
     "compile_net",
     "evaluate_batch",
 ]
 
 # Observability metrics (naming contract: docs/OBSERVABILITY.md).  The
-# compile counters expose the cache economics of batched evaluation; the
 # kernel counter (nodes swept by full passes) divided by the ``flat.batch``
 # span duration is the nodes-per-second throughput of the flat pass; the
 # refresh metrics count dirty-path sweeps and show that an edit re-sweeps
 # only its dirty root paths.  All free while REPRO_OBS is off.
-_OBS_COMPILE_HITS = obs.Counter("flat.compile.cache_hits")
-_OBS_COMPILE_MISSES = obs.Counter("flat.compile.cache_misses")
 _OBS_KERNEL_NODES = obs.Counter("flat.kernel.nodes")
 _OBS_BATCH_SIZE = obs.Histogram("flat.batch.size")
 _OBS_DIRTY_SEEDS = obs.Counter("flat.refresh.dirty_seeds")
@@ -101,10 +92,8 @@ class FlatNet(object):
     A compiled net is a plain struct-of-arrays: every column is indexed by
     node id, ``order`` is the preorder node sequence (its reverse is the
     postorder the Fig. 2 recursion needs), and ``kids[v]`` is the ascending
-    children tuple.  Instances handed out by :class:`FlatNetCache` are
-    shared and must be treated as immutable; :class:`FlatARDEngine`
-    compiles a private instance so its mutation ops can patch columns in
-    place.
+    children tuple.  :class:`FlatARDEngine` compiles a private instance
+    so its mutation ops can patch columns in place.
     """
 
     __slots__ = (
@@ -969,104 +958,6 @@ class FlatARDEngine:
         return d_ba + r_ba * load
 
 
-# -- compile cache -------------------------------------------------------------
-
-
-def canonical_net_key(
-    tree: RoutingTree,
-    tech: Technology,
-    context: Optional[EvalContext] = None,
-) -> str:
-    """A content hash identifying one (tree, technology, context) triple.
-
-    Floats enter the digest as their raw IEEE-754 bytes, so the key
-    distinguishes exactly the values the kernel would distinguish — two
-    nets share a key precisely when they pose the bitwise-same evaluation
-    problem.  Terminal and repeater *names* are excluded: they never enter
-    the arithmetic.
-    """
-    context = context if context is not None else EvalContext()
-    # plain lists + one array() construction: the per-element work runs in C
-    ints: List[int] = [len(tree), 1 if context.include_companion_cap else 0]
-    floats: List[float] = [tech.unit_resistance, tech.unit_capacitance]
-    terminal = NodeKind.TERMINAL
-    steiner = NodeKind.STEINER
-    parents = tree._parent
-    lengths = tree._edge_length
-    for i, node in enumerate(tree.nodes):
-        p = parents[i]
-        kind = node.kind
-        ints.append(0 if kind is terminal else 1 if kind is steiner else 2)
-        ints.append(-1 if p is None else p)
-        floats.append(lengths[i])
-        term = node.terminal
-        if term is not None:  # presence is implied by the kind code above
-            floats.append(term.arrival_time)
-            floats.append(term.downstream_delay)
-            floats.append(term.capacitance)
-            floats.append(term.resistance)
-            floats.append(term.intrinsic_delay)
-    ints.append(-2)  # section separator: node table / assignment
-    assignment = dict(context.assignment or {})
-    for idx in sorted(assignment):
-        rep = assignment[idx]
-        ints.append(idx)
-        floats.extend((rep.c_a, rep.c_b, rep.d_ab, rep.r_ab, rep.d_ba, rep.r_ba))
-    ints.append(-3)  # section separator: assignment / wire widths
-    widths = dict(context.wire_widths or {})
-    for idx in sorted(widths):
-        ints.append(idx)
-        floats.append(widths[idx])
-    h = hashlib.blake2b(digest_size=16)
-    h.update(array("q", ints).tobytes())
-    h.update(array("d", floats).tobytes())
-    return h.hexdigest()
-
-
-class FlatNetCache:
-    """An LRU of compiled :class:`FlatNet` instances keyed by canonical hash.
-
-    Batched workloads (Monte Carlo over a fixed topology set, repeated
-    campaign evaluation) re-see the same nets; a hit skips compilation
-    entirely.  Cached instances are shared — callers must not mutate them
-    (:class:`FlatARDEngine` never uses the cache for exactly this reason).
-    """
-
-    def __init__(self, maxsize: int = 1024):
-        if maxsize <= 0:
-            raise ValueError(f"cache maxsize must be positive, got {maxsize}")
-        self._maxsize = maxsize
-        self._store: "OrderedDict[str, FlatNet]" = OrderedDict()
-        self.hits = 0
-        self.misses = 0
-
-    def __len__(self) -> int:
-        return len(self._store)
-
-    def get_or_compile(
-        self,
-        tree: RoutingTree,
-        tech: Technology,
-        context: Optional[EvalContext] = None,
-    ) -> FlatNet:
-        key = canonical_net_key(tree, tech, context)
-        net = self._store.get(key)
-        if net is not None:
-            self._store.move_to_end(key)
-            self.hits += 1
-            if obs.enabled():
-                _OBS_COMPILE_HITS.add()
-            return net
-        self.misses += 1
-        if obs.enabled():
-            _OBS_COMPILE_MISSES.add()
-        net = compile_net(tree, tech, context)
-        self._store[key] = net
-        while len(self._store) > self._maxsize:
-            self._store.popitem(last=False)
-        return net
-
-
 # -- batched evaluation --------------------------------------------------------
 
 
@@ -1076,13 +967,12 @@ def evaluate_batch(
     *,
     contexts: Union[None, EvalContext, Sequence[Optional[EvalContext]]] = None,
     include_timing: bool = False,
-    cache: Optional[FlatNetCache] = None,
 ) -> List[ARDResult]:
     """Compile and evaluate many nets in one call.
 
     ``contexts`` is ``None`` (bare evaluation for every net), a single
     :class:`EvalContext` applied to all nets, or a sequence parallel to
-    ``nets``.  Pass a :class:`FlatNetCache` to reuse compilations across calls.
+    ``nets``.
     ``include_timing=True`` materializes every per-node timing table
     (roughly doubling the work); the default returns scalar results.
 
@@ -1105,10 +995,7 @@ def evaluate_batch(
         _OBS_BATCH_SIZE.observe(n_batch)
     with obs.trace("flat.batch", nets=n_batch, nodes=total_nodes):
         for tree, ctx in zip(nets, ctx_list):
-            if cache is not None:
-                net = cache.get_or_compile(tree, tech, ctx)
-            else:
-                net = compile_net(tree, tech, ctx)
+            net = compile_net(tree, tech, ctx)
             down, ups, req, req_sink, diams = _kernel(net)
             best, src, snk = _finish(net, down, ups, req, req_sink, diams)
             timing: Dict[int, SubtreeTiming] = {}

@@ -150,16 +150,6 @@ class EvalState(object):
             raise TypeError(f"assignment[{idx}] is not a Repeater: {rep!r}")
         self.assignment[idx] = rep
 
-    def set_width(self, edge: int, width: Optional[float]) -> None:
-        self._check_edge(edge)
-        if width is None:
-            self.widths.pop(edge, None)
-        else:
-            if width <= 0.0:
-                raise ValueError(f"wire width factor must be positive, got {width}")
-            self.widths[edge] = float(width)
-        self.refresh_edge(edge)
-
     def set_terminal_override(self, idx: int, terminal: Terminal) -> None:
         if not (0 <= idx < len(self.tree)):
             raise ValueError(f"unknown node {idx}")
@@ -199,12 +189,6 @@ class EvalState(object):
         if term is None:
             raise ValueError(f"node {idx} is not a terminal")
         return term
-
-    def own_cap(self, idx: int) -> float:
-        node = self.tree.node(idx)
-        if node.terminal is None:
-            return 0.0
-        return self.terminal(idx).capacitance
 
 
 # -- the shared combine step ---------------------------------------------------

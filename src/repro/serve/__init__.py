@@ -1,4 +1,4 @@
-"""Timing-as-a-service: a session server over the editable engines.
+"""Timing-as-a-service: a session server over the flat timing engine.
 
 The optimizer-facing engines answer "what is the ARD of this tree?" one
 process at a time; this package puts that behind a socket so external

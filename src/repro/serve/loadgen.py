@@ -42,7 +42,7 @@ from ..netgen.workloads import (
     paper_repeater_library,
     paper_technology,
 )
-from ..rctree.registry import make_editable_engine
+from ..rctree.flat import FlatARDEngine
 from ..rctree.topology import RoutingTree
 from .session import apply_edit
 
@@ -204,16 +204,15 @@ def run_load(
     sessions: int = 8,
     edits_per_session: int = 50,
     seed: int = 0,
-    engine: Optional[str] = None,
     include_timing: bool = False,
 ) -> LoadReport:
     """Drive concurrent sessions, then serially verify every byte.
 
     Each session thread opens its own connection and net, streams its
     seeded edit sequence and records the raw response bytes.  After all
-    threads finish, each session is replayed on a fresh local engine (the
-    same engine name the server used) and the expected response frames
-    are re-encoded; any byte difference is a mismatch.
+    threads finish, each session is replayed on a fresh local
+    :class:`~repro.rctree.flat.FlatARDEngine` and the expected response
+    frames are re-encoded; any byte difference is a mismatch.
     """
     if sessions < 1 or edits_per_session < 0:
         raise ValueError("sessions must be >= 1 and edits_per_session >= 0")
@@ -228,13 +227,11 @@ def run_load(
         raws: List[bytes] = []
         try:
             with ServeClient(host, port) as client:
-                open_fields: Dict[str, Any] = {
-                    "net": tree_to_dict(tree),
-                    "include_timing": include_timing,
-                }
-                if engine is not None:
-                    open_fields["engine"] = engine
-                resp = client.check("open", **open_fields)
+                resp = client.check(
+                    "open",
+                    net=tree_to_dict(tree),
+                    include_timing=include_timing,
+                )
                 sid = resp["session"]
                 raw_open = client.last_raw
                 for e in edits:
@@ -268,7 +265,6 @@ def run_load(
     wall_s = time.perf_counter() - t_start
 
     # -- serial replay: recompute what every response must have been ---------
-    engine_name = engine or "flat"
     mismatches = 0
     details: List[str] = []
     all_latencies: List[float] = []
@@ -278,11 +274,8 @@ def run_load(
             continue
         all_latencies.extend(tr["latencies"])
         edits_total += len(tr["edits"])
-        local = make_editable_engine(
-            engine_name,
-            tr["tree"],
-            paper_technology(),
-            include_timing=include_timing,
+        local = FlatARDEngine(
+            tr["tree"], paper_technology(), include_timing=include_timing
         )
         sid = tr["sid"]
         expected = encode_frame(

@@ -50,7 +50,6 @@ from ..core.msri import validate_msri_overrides
 from ..netgen.workloads import paper_technology
 from ..obs import core as obs
 from ..rctree.flat import evaluate_batch
-from ..rctree.registry import editable_engine_names
 from .session import SessionManager, apply_edit
 
 __all__ = ["ServeConfig", "TimingServer", "run_server", "start_in_thread"]
@@ -70,7 +69,6 @@ class ServeConfig:
 
     host: str = "127.0.0.1"
     port: int = 0  # 0 = let the OS pick; read it back from ``server.port``
-    engine: str = "flat"  # default session engine
     request_timeout_s: float = 30.0
     session_ttl_s: float = 300.0
     eviction_interval_s: float = 1.0
@@ -92,9 +90,7 @@ class TimingServer:
 
     def __init__(self, config: Optional[ServeConfig] = None):
         self.config = config or ServeConfig()
-        self.sessions = SessionManager(
-            ttl_s=self.config.session_ttl_s, default_engine=self.config.engine
-        )
+        self.sessions = SessionManager(ttl_s=self.config.session_ttl_s)
         self._server: Optional[asyncio.AbstractServer] = None
         self._background: List[asyncio.Task] = []
         self._writers: set = set()
@@ -261,12 +257,7 @@ class TimingServer:
         self, op: Any, frame: Dict[str, Any], owned: List[str]
     ) -> Dict[str, Any]:
         if op == "hello":
-            return {
-                "server": "repro-msri",
-                "version": __version__,
-                "engines": list(editable_engine_names()),
-                "default_engine": self.config.engine,
-            }
+            return {"server": "repro-msri", "version": __version__}
         if op == "open":
             return await self._op_open(frame, owned)
         if op == "edit":
@@ -319,14 +310,13 @@ class TimingServer:
             session = self.sessions.open(
                 tree,
                 tech,
-                engine_name=frame.get("engine"),
                 context=context,
                 include_timing=include_timing,
                 msri=msri,
             )
         except ValueError as exc:
-            # unknown / non-editable engine name: a client mistake, not an
-            # engine runtime failure
+            # a context the net cannot take (a repeater on an unknown node,
+            # say): a client mistake, not an engine runtime failure
             raise WireProtocolError(str(exc), code="bad-request") from exc
         owned.append(session.sid)
         async with session.lock:

@@ -1,6 +1,6 @@
 """Server-side session state and the edit-frame dispatcher.
 
-A *session* pins one :class:`~repro.rctree.engine.EditableEngine` to one
+A *session* pins one :class:`~repro.rctree.flat.FlatARDEngine` to one
 opened net; the client streams edit frames and the server re-evaluates
 after each.  The dispatcher (:func:`apply_edit`) is deliberately the only
 place that maps wire edit ops onto protocol methods — the load
@@ -26,7 +26,7 @@ from ..io.serialize import (
 )
 from ..obs import core as obs
 from ..rctree.engine import ARDResult, EditableEngine, EvalContext
-from ..rctree.registry import make_editable_engine
+from ..rctree.flat import FlatARDEngine
 from ..rctree.topology import RoutingTree
 from ..tech.parameters import Technology
 
@@ -104,14 +104,13 @@ def apply_edit(engine: EditableEngine, edit: Dict[str, object]) -> None:
 
 
 class Session:
-    """One opened net bound to one editable engine."""
+    """One opened net bound to one :class:`FlatARDEngine`."""
 
     __slots__ = (
         "sid",
         "engine",
         "tree",
         "tech",
-        "engine_name",
         "include_timing",
         "msri",
         "lock",
@@ -122,10 +121,9 @@ class Session:
     def __init__(
         self,
         sid: str,
-        engine: EditableEngine,
+        engine: FlatARDEngine,
         tree: RoutingTree,
         tech: Technology,
-        engine_name: str,
         include_timing: bool,
         msri: Optional[Dict] = None,
     ):
@@ -133,7 +131,6 @@ class Session:
         self.engine = engine
         self.tree = tree
         self.tech = tech
-        self.engine_name = engine_name
         self.include_timing = include_timing
         #: session-default MSRI pruning-knob overrides (docs/SERVING.md);
         #: per-request overrides in an ``optimize`` frame merge over these
@@ -153,11 +150,10 @@ class Session:
 class SessionManager:
     """The server's session table with TTL-based idle eviction."""
 
-    def __init__(self, *, ttl_s: float = 300.0, default_engine: str = "flat"):
+    def __init__(self, *, ttl_s: float = 300.0):
         if ttl_s <= 0:
             raise ValueError(f"session TTL must be positive, got {ttl_s}")
         self.ttl_s = ttl_s
-        self.default_engine = default_engine
         self._sessions: Dict[str, Session] = {}
         self._ids = itertools.count(1)
         # one subtree-front cache across all sessions: repeated `optimize`
@@ -176,17 +172,15 @@ class SessionManager:
         tree: RoutingTree,
         tech: Technology,
         *,
-        engine_name: Optional[str] = None,
         context: Optional[EvalContext] = None,
         include_timing: bool = False,
         msri: Optional[Dict] = None,
     ) -> Session:
-        name = engine_name or self.default_engine
-        engine = make_editable_engine(
-            name, tree, tech, context=context, include_timing=include_timing
+        engine = FlatARDEngine(
+            tree, tech, context=context, include_timing=include_timing
         )
         sid = f"s{next(self._ids)}"
-        session = Session(sid, engine, tree, tech, name, include_timing, msri)
+        session = Session(sid, engine, tree, tech, include_timing, msri)
         self._sessions[sid] = session
         if obs.enabled():
             _OBS_OPENED.add()

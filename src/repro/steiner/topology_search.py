@@ -105,7 +105,6 @@ def synthesize_topology(
     max_iterations: int = 50,
     root: int = 0,
     engine_factory: Optional[Callable[[RoutingTree], TimingEngine]] = None,
-    engine: Optional[str] = None,
     objective: str = "ard",
     msri_options=None,
     msri_cache=None,
@@ -120,9 +119,7 @@ def synthesize_topology(
     rebuilt per candidate).  The default is
     :class:`~repro.rctree.flat.FlatARDEngine`, whose single kernel sweep
     skips the Eq. 2 pass and the per-node scalar table that a full
-    ``ard()`` would also materialize.  ``engine`` names a registered
-    engine (:func:`repro.rctree.registry.engine_names`) as a convenience —
-    pass one or the other, not both.
+    ``ard()`` would also materialize.
 
     ``objective="msri"`` scores each candidate by the *optimized* net
     instead of the bare topology: the minimum achievable ARD after optimal
@@ -150,10 +147,10 @@ def synthesize_topology(
         )
 
     if objective == "msri":
-        if engine is not None or engine_factory is not None:
+        if engine_factory is not None:
             raise TypeError(
                 "synthesize_topology: objective='msri' scores through the "
-                "MSRI optimizer; engine=/engine_factory= do not apply"
+                "MSRI optimizer; engine_factory= does not apply"
             )
         if msri_options is None:
             raise ValueError(
@@ -176,15 +173,6 @@ def synthesize_topology(
                 "synthesize_topology: msri_options/msri_cache require "
                 "objective='msri'"
             )
-        if engine is not None:
-            if engine_factory is not None:
-                raise TypeError(
-                    "synthesize_topology: pass either engine= (a registry "
-                    "name) or engine_factory=, not both"
-                )
-            from ..rctree.registry import resolve_engine_factory
-
-            engine_factory = resolve_engine_factory(engine, tech)
         if engine_factory is None:
             def engine_factory(tree: RoutingTree) -> TimingEngine:
                 return FlatARDEngine(tree, tech)

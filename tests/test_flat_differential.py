@@ -6,8 +6,9 @@ Fig. 2 recursions as index loops over contiguous arrays.  Its contract is
 (:func:`repro.core.ard.ard`), because every float expression was ported
 with an identical evaluation tree.  This suite holds that contract over
 ~500 randomized nets (varying fan-out, depth, degenerate chains and stars,
-random repeater assignments and wire widths), for a fresh sweep and for the
-engine's dirty-path sweep after clearing and re-applying the knobs, with
+random repeater assignments and wire widths) plus the bare paper-protocol
+nets a default campaign sweeps, for a fresh sweep and for the engine's
+dirty-path sweep after clearing and re-applying the knobs, with
 the runtime contracts armed (``REPRO_CHECK=1`` semantics via
 :func:`repro.check.contracts.checking`).
 
@@ -23,6 +24,7 @@ from repro.check import contracts
 from repro.core.ard import ard
 from repro.netgen.random_nets import NetSpec, chain_net, random_net, star_net
 from repro.netgen.workloads import (
+    paper_instance,
     paper_net_spec,
     paper_repeater_library,
     paper_technology,
@@ -33,6 +35,11 @@ from repro.rctree.flat import FlatARDEngine, evaluate_batch
 N_NETS = 500
 BASE_SEED = 0xF1A7
 SPACING_CHOICES = (400.0, 800.0, 1600.0, None)
+#: ``repro-msri campaign``'s default sizes, over the paper's two spacings;
+#: the random corpus above stops at 9 pins
+CAMPAIGN_SIZES = (10, 20)
+CAMPAIGN_SPACINGS = (800.0, 1600.0)
+CAMPAIGN_SEEDS = 3
 
 
 def _random_case(seed: int):
@@ -71,6 +78,19 @@ def _random_case(seed: int):
     return tree, context
 
 
+def _cases():
+    """``(label, tree, context)`` for the random corpus, then the bare
+    campaign nets."""
+    for seed in range(N_NETS):
+        tree, context = _random_case(seed)
+        yield f"seed {seed}", tree, context
+    for pins in CAMPAIGN_SIZES:
+        for spacing in CAMPAIGN_SPACINGS:
+            for seed in range(CAMPAIGN_SEEDS):
+                tree = paper_instance(seed, pins, spacing)
+                yield f"campaign {seed}/{pins}/{spacing}", tree, EvalContext()
+
+
 def _assert_timing_identical(flat_timing, ref_timing, context: str) -> None:
     """Full per-node A_v / D_v / Z_v vectors, bit-for-bit."""
     assert set(flat_timing) == set(ref_timing), f"{context}: node sets differ"
@@ -84,14 +104,13 @@ class TestFlatDifferential:
         tech = paper_technology()
         checked = 0
         with contracts.checking():
-            for seed in range(N_NETS):
-                tree, context = _random_case(seed)
+            for label, tree, context in _cases():
                 ref = ard(tree, tech, context=context)
                 engine = FlatARDEngine(
                     tree, tech, context=context, include_timing=True
                 )
                 res = engine.evaluate()
-                ctx = f"seed {seed}"
+                ctx = label
                 assert res.value == ref.value, (
                     f"{ctx}: {res.value!r} != {ref.value!r}"
                 )
@@ -110,12 +129,15 @@ class TestFlatDifferential:
                 for idx, w in (context.wire_widths or {}).items():
                     engine.set_wire_width(idx, w)
                 res = engine.evaluate()
-                ctx = f"seed {seed} dirty path"
+                ctx = f"{label} dirty path"
                 assert res.value == ref.value, ctx
                 assert (res.source, res.sink) == (ref.source, ref.sink), ctx
                 _assert_timing_identical(res.timing, ref.timing, ctx)
                 checked += 1
-        assert checked == N_NETS
+        campaign_nets = (
+            len(CAMPAIGN_SIZES) * len(CAMPAIGN_SPACINGS) * CAMPAIGN_SEEDS
+        )
+        assert checked == N_NETS + campaign_nets
 
     def test_path_delays_identical_across_engines(self):
         """Every source→sink path delay agrees with the reference analyzer."""

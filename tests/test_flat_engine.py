@@ -1,10 +1,10 @@
-"""FlatARDEngine behaviour: protocol, mutation ops, cache, registry, batch.
+"""FlatARDEngine behaviour: protocol, mutation ops, engine choice, batch.
 
 The differential suite (``test_flat_differential.py``) locks down numeric
 identity; this module covers the engine *surface*: the TimingEngine
 protocol, dirty-path mutation parity against a freshly built engine on the
-edited net, the compile cache and canonical keys, the engine registry, and
-the parallel batch front-end.  Deterministic net builders only, so the whole
+edited net, choosing an engine by object (and the one ``"flat"`` name),
+and the batch front-end.  Deterministic net builders only, so the whole
 module also runs on the without-numpy CI leg.
 """
 
@@ -23,14 +23,10 @@ from repro.netgen.workloads import (
     paper_repeater_library,
     paper_technology,
 )
-from repro.rctree.engine import EvalContext
-from repro.rctree.flat import (
-    FlatARDEngine,
-    FlatNetCache,
-    canonical_net_key,
-    evaluate_batch,
-)
-from repro.rctree.registry import engine_names, make_engine, resolve_engine_factory
+from repro.rctree.elmore import ElmoreAnalyzer
+from repro.rctree.engine import EditableEngine, EvalContext
+from repro.rctree.flat import FlatARDEngine, evaluate_batch
+from repro.rctree.registry import make_editable_engine
 
 TECH = paper_technology()
 
@@ -130,127 +126,64 @@ class TestMutationParity:
         assert (fresh.source, fresh.sink) == (cached.source, cached.sink)
 
 
-class TestCanonicalKey:
-    def test_same_topology_same_key(self):
-        assert canonical_net_key(_net(), TECH) == canonical_net_key(_net(), TECH)
-
-    def test_names_do_not_matter(self):
-        tree = _net("star", 4)
-        renamed_nodes = []
-        for node in tree.nodes:
-            if node.terminal is None:
-                renamed_nodes.append(node)
-            else:
-                term = dataclasses.replace(
-                    node.terminal, name=f"x{node.index}"
-                )
-                renamed_nodes.append(dataclasses.replace(node, terminal=term))
-        from repro.rctree.topology import RoutingTree
-
-        renamed = RoutingTree(
-            renamed_nodes,
-            [tree.parent(i) for i in range(len(tree))],
-            [tree.edge_length(i) for i in range(len(tree))],
-        )
-        assert canonical_net_key(renamed, TECH) == canonical_net_key(tree, TECH)
-
-    def test_key_sensitive_to_knobs(self):
-        tree = _net("chain", 6)
-        base = canonical_net_key(tree, TECH)
-        idx = tree.insertion_indices()[0]
-        with_rep = canonical_net_key(
-            tree, TECH, EvalContext(assignment={idx: _rep()})
-        )
-        with_width = canonical_net_key(
-            tree, TECH, EvalContext(wire_widths={1: 2.0})
-        )
-        assert len({base, with_rep, with_width}) == 3
-
-    def test_key_sensitive_to_geometry(self):
-        a = chain_net(4, paper_net_spec(), segment_length=200.0)
-        b = chain_net(4, paper_net_spec(), segment_length=201.0)
-        assert canonical_net_key(a, TECH) != canonical_net_key(b, TECH)
-
-
-class TestCompileCache:
-    def test_hit_miss_accounting(self):
-        cache = FlatNetCache(maxsize=8)
-        tree = _net("chain", 5)
-        first = cache.get_or_compile(tree, TECH)
-        again = cache.get_or_compile(tree, TECH)
-        assert again is first
-        assert (cache.hits, cache.misses) == (1, 1)
-        equivalent = _net("chain", 5)  # same key, different object
-        assert cache.get_or_compile(equivalent, TECH) is first
-        assert (cache.hits, cache.misses) == (2, 1)
-
-    def test_lru_eviction(self):
-        cache = FlatNetCache(maxsize=2)
-        trees = [chain_net(n, paper_net_spec()) for n in (3, 4, 5)]
-        for t in trees:
-            cache.get_or_compile(t, TECH)
-        # tree 0 was evicted by tree 2; recompiling it is a miss
-        cache.get_or_compile(trees[0], TECH)
-        assert cache.misses == 4
-        # tree 2 is still resident
-        cache.get_or_compile(trees[2], TECH)
-        assert cache.hits == 1
-
-
 class TestRegistry:
-    def test_engine_names_is_sorted_and_complete(self):
-        names = engine_names()
-        assert names == tuple(sorted(names))
-        assert names == ("elmore", "flat", "reference")
-
     def test_unknown_engine_rejected(self):
         with pytest.raises(ValueError, match="unknown engine"):
-            make_engine("nope", _net(), TECH)
-        with pytest.raises(ValueError, match="unknown engine"):
-            resolve_engine_factory("nope", TECH)
+            make_editable_engine("nope", _net(), TECH)
 
     def test_all_engines_agree_on_value(self):
         tree = _net("chain", 8)
         ref = ard(tree, TECH).value
-        for name in engine_names():
-            engine = make_engine(name, tree, TECH)
-            assert engine.evaluate(tree).value == ref, name
+        for engine in (ElmoreAnalyzer(tree, TECH), FlatARDEngine(tree, TECH)):
+            assert engine.evaluate(tree).value == ref, type(engine).__name__
 
     def test_factory_builds_per_tree_engines(self):
-        factory = resolve_engine_factory("flat", TECH)
-        for tree in (_net("chain", 4), _net("star", 3)):
-            assert factory(tree).evaluate(tree).value == ard(tree, TECH).value
+        from repro.steiner.topology_search import synthesize_topology
+        from repro.tech.terminals import Terminal
+
+        spec = paper_net_spec()
+        terminals = [
+            Terminal(
+                f"p{i}", x, y,
+                capacitance=spec.capacitance,
+                resistance=spec.resistance,
+                intrinsic_delay=spec.intrinsic_delay,
+            )
+            for i, (x, y) in enumerate(
+                [(0.0, 0.0), (900.0, 300.0), (400.0, 1200.0), (1500.0, 800.0)]
+            )
+        ]
+        built = []
+
+        def factory(tree):
+            built.append(tree)
+            return FlatARDEngine(tree, TECH)
+
+        result = synthesize_topology(terminals, TECH, engine_factory=factory)
+        # one engine per scored candidate tree, each bound to its own tree
+        assert len(built) == result.evaluations
+        assert len({id(t) for t in built}) == len(built)
 
     def test_editable_engine_protocol(self):
-        from repro.rctree.engine import EditableEngine
-        from repro.rctree.registry import editable_engine_names
-
         tree = _net("chain", 4)
-        names = editable_engine_names()
-        assert names == ("flat",)
-        for name in names:
-            engine = make_engine(name, tree, TECH)
-            assert isinstance(engine, EditableEngine), name
-        assert not isinstance(make_engine("reference", tree, TECH),
-                              EditableEngine)
+        assert isinstance(FlatARDEngine(tree, TECH), EditableEngine)
+        assert isinstance(make_editable_engine("flat", tree, TECH), EditableEngine)
+        assert not isinstance(ElmoreAnalyzer(tree, TECH), EditableEngine)
 
     def test_make_editable_engine_rejects_non_editable(self):
-        from repro.rctree.registry import make_editable_engine
-
         tree = _net("chain", 4)
         engine = make_editable_engine("flat", tree, TECH)
         assert engine.evaluate().value == ard(tree, TECH).value
-        with pytest.raises(ValueError, match="not editable"):
-            make_editable_engine("reference", tree, TECH)
-        with pytest.raises(ValueError, match="unknown engine"):
-            make_editable_engine("nope", tree, TECH)
+        for name in ("reference", "elmore"):
+            with pytest.raises(ValueError, match="unknown engine"):
+                make_editable_engine(name, tree, TECH)
 
     def test_flat_reroot_matches_incremental(self):
         """Reroot replays widths, scales and overrides, and the dirty path
         keeps agreeing with a fresh reference pass after it."""
         tree = _net("chain", 7)
         terms = list(tree.terminal_indices())
-        fl = make_engine("flat", tree, TECH)
+        fl = FlatARDEngine(tree, TECH)
         edges = [i for i in range(len(tree)) if tree.parent(i) is not None]
         fl.set_wire_width(edges[1], 2.0)
         fl.set_wire_scale(resistance_factor=1.2, capacitance_factor=0.8)
@@ -265,17 +198,6 @@ class TestRegistry:
         assert fl.evaluate().value == fl.fresh_result().value
         fl.reroot(terms[0])
         assert fl.evaluate().value == fl.fresh_result().value
-
-    def test_greedy_accepts_engine_name(self):
-        from repro.baselines.greedy import greedy_insertion
-
-        tree = _net("chain", 6)
-        lib = paper_repeater_library()
-        by_name = greedy_insertion(tree, TECH, lib, engine="flat")
-        by_default = greedy_insertion(tree, TECH, lib)
-        assert [(s.cost, s.ard) for s in by_name] == [
-            (s.cost, s.ard) for s in by_default
-        ]
 
 
 class TestBatch:
@@ -298,14 +220,6 @@ class TestBatch:
         for tree, res in zip(nets, batch):
             assert res.value == ard(tree, TECH, context=ctx).value
 
-    def test_batch_uses_supplied_cache(self):
-        nets = self._corpus()
-        cache = FlatNetCache()
-        evaluate_batch(nets, TECH, cache=cache)
-        evaluate_batch(nets, TECH, cache=cache)
-        assert cache.misses == len(nets)
-        assert cache.hits == len(nets)
-
 
 @pytest.mark.skipif(
     importlib.util.find_spec("numpy") is None,
@@ -323,6 +237,6 @@ class TestVariationIntegration:
         with contracts.checking(False):
             a = monte_carlo_ard(tree, TECH, rep, samples=8, seed=3)
         with contracts.checking():
-            b = monte_carlo_ard(tree, TECH, rep, samples=8, seed=3, engine="flat")
+            b = monte_carlo_ard(tree, TECH, rep, samples=8, seed=3)
         assert a.samples == b.samples
         assert a.nominal == b.nominal

@@ -162,10 +162,12 @@ class TestMFSSets:
         rng = np.random.default_rng(5)
         sols = _random_solutions(rng, 40)
         xs = np.linspace(0, C_MAX, 21)
-        pruned_dnc = mfs(sols, leaf_size=4)
         pruned_pair = mfs_pairwise(sols)
-        assert_mfs_sound(sols, pruned_dnc, xs)
         assert_mfs_sound(sols, pruned_pair, xs)
+        # leaf_size=1 recurses down to single solutions: every prune is a
+        # merge, none is a pairwise leaf
+        for leaf_size in (1, 4):
+            assert_mfs_sound(sols, mfs(sols, leaf_size=leaf_size), xs)
 
     def test_empty_set(self):
         assert mfs([]) == []

@@ -137,18 +137,13 @@ class TestValidateOverrides:
         with pytest.raises(ValueError):
             repeater_insertion_options(**validate_msri_overrides(knobs))
 
-    @pytest.mark.parametrize("leaf_size", [0, -3])
-    def test_options_reject_mfs_leaf_size_below_one(self, leaf_size):
-        # used to recurse until RecursionError inside the DP
-        with pytest.raises(ValueError, match="mfs_leaf_size"):
-            repeater_insertion_options(mfs_leaf_size=leaf_size)
-
-    def test_options_accept_mfs_leaf_size_one(self):
+    def test_options_accept_mfs_leaf_size_one(self, monkeypatch):
+        # the MFS leaf size is a module constant, no longer an option; a
+        # leaf of one (every prune a merge) must not change the DP result
         tree = paper_instance(0, 3)
-        one = insert_repeaters(
-            tree, TECH, repeater_insertion_options(mfs_leaf_size=1)
-        )
         default = insert_repeaters(tree, TECH, repeater_insertion_options())
+        monkeypatch.setattr(msri, "_MFS_LEAF_SIZE", 1)
+        one = insert_repeaters(tree, TECH, repeater_insertion_options())
         assert one.tradeoff() == default.tradeoff()
 
     def test_options_reject_lossy_without_cap(self):

@@ -185,9 +185,11 @@ class TestSessionLayer:
 
 class TestServer:
     def test_hello_reports_editable_engines(self, client):
+        # every session runs the one editable engine, FlatARDEngine, so
+        # hello names no engines
         resp = client.check("hello")
-        assert resp["engines"] == ["flat"]
-        assert resp["default_engine"] == "flat"
+        assert set(resp) == {"schema", "id", "ok", "server", "version"}
+        assert resp["server"] == "repro-msri"
 
     def test_session_stream_matches_direct_engine(self, client):
         tree = _net(2)
@@ -216,16 +218,11 @@ class TestServer:
     def test_include_timing_session_ships_timing_tables(self, client):
         tree = _net(1)
         resp = client.check(
-            "open", net=tree_to_dict(tree), engine="flat", include_timing=True
+            "open", net=tree_to_dict(tree), include_timing=True
         )
         expected = ard(tree, TECH)
         assert resp["ard"] == ard_result_to_dict(expected, include_timing=True)
         assert resp["ard"]["timing"]  # non-empty per-node table
-
-    def test_unknown_engine_lists_editable_names(self, client):
-        resp = client.request("open", net=tree_to_dict(_net()), engine="nope")
-        assert resp["ok"] is False
-        assert "flat" in resp["error"]["message"]
 
     def test_malformed_frames_do_not_kill_the_connection(self, client):
         for raw in (
@@ -662,13 +659,14 @@ class TestConcurrentDifferential:
         assert report.edits_total == 6 * 12
 
     def test_flat_engine_sessions_are_byte_identical(self, server):
+        # with per-node timing tables, so every table entry is replayed too
         report = run_load(
             "127.0.0.1",
             server.port,
             sessions=4,
             edits_per_session=10,
             seed=9,
-            engine="flat",
+            include_timing=True,
         )
         assert report.ok, (report.mismatch_details, report.errors)
 

@@ -4,6 +4,7 @@ import pytest
 
 from repro.core.ard import ard
 from repro.netgen import paper_net_spec, paper_technology, random_points
+from repro.rctree import ElmoreAnalyzer
 from repro.steiner import (
     rectilinear_mst,
     synthesize_topology,
@@ -147,7 +148,8 @@ class TestMSRIObjective:
         with pytest.raises(TypeError):
             synthesize_topology(
                 make_terms(0, 4), TECH, objective="msri",
-                msri_options=opts, engine="reference",
+                msri_options=opts,
+                engine_factory=lambda tree: ElmoreAnalyzer(tree, TECH),
             )
         with pytest.raises(TypeError):
             synthesize_topology(
